@@ -111,15 +111,18 @@ func Optimize(alg Algorithm, eval opt.Evaluator, initial []float64, o opt.Option
 // been evaluated before, e.g. by a warm-up; a fresh instance agrees with
 // its own counts).
 //
-// GD-shaped runs on a Batcher backend route through the batched
-// parameter-shift path (one EvaluateBatch per gradient), but only on the
-// serial default: Parallelism > 1 explicitly requests concurrent
-// Evaluate calls, which a single batch call does not provide. Both paths
-// produce identical results by the Batcher contract.
+// One backend is one machine with one serial timeline: its Evaluate
+// mutates controller, cache and clock state. RunOn therefore evaluates
+// it serially and treats o.Parallelism > 1 as 1; concurrency across
+// runs comes from minting one backend per run. GD-shaped runs on a
+// Batcher backend route through the batched parameter-shift path (one
+// EvaluateBatch per gradient), which produces results identical to
+// serial Evaluate calls by the Batcher contract.
 func RunOn(b Backend, initial []float64, alg Algorithm, o opt.Options) (report.RunResult, error) {
+	o.Parallelism = min(o.Parallelism, 1)
 	var res opt.Result
 	var err error
-	if batch := BatchOf(b); batch != nil && o.Parallelism <= 1 && (alg == GD || alg == Adam) {
+	if batch := BatchOf(b); batch != nil && (alg == GD || alg == Adam) {
 		if alg == Adam {
 			res, err = opt.AdamBatch(batch, initial, o)
 		} else {

@@ -73,9 +73,10 @@ func TestBatchedRunMatchesSerialRun(t *testing.T) {
 	}
 }
 
-// Parallelism > 1 requests concurrent evaluations, which one batch call
-// cannot provide; RunOn must then take the serial-optimizer path yet
-// still produce the same result for these deterministic machines.
+// One backend is one machine with one serial timeline, so RunOn treats
+// Parallelism > 1 as 1: a run that asks for concurrent evaluations of a
+// single machine must evaluate it serially, race-free, and produce the
+// same result as the serial default.
 func TestParallelRequestBypassesBatch(t *testing.T) {
 	w := goldenWorkload(t)
 	o := goldenOptions()

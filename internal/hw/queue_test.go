@@ -171,6 +171,40 @@ func TestArbiterSkipsIdle(t *testing.T) {
 	}
 }
 
+// TestIdleGrantKeepsRotation pins the property the pulse pipeline's
+// quiet-span fast-forward relies on: Grant calls with no request
+// asserted leave the next grant exactly where it was, and the priority
+// encoder carries no state between calls.
+func TestIdleGrantKeepsRotation(t *testing.T) {
+	const width = 5
+	all := []bool{true, true, true, true, true}
+	idle := make([]bool, width)
+	for start := 0; start < width; start++ {
+		a, ref := NewArbiter(width), NewArbiter(width)
+		for i := 0; i < start; i++ {
+			a.Grant(all)
+			ref.Grant(all)
+		}
+		for i := 0; i < 7; i++ { // 7 is coprime to the width
+			if g := a.Grant(idle); g != -1 {
+				t.Fatalf("idle grant = %d, want -1", g)
+			}
+		}
+		for i := 0; i < 2*width; i++ {
+			if g, want := a.Grant(all), ref.Grant(all); g != want {
+				t.Fatalf("after %d grants and 7 idle ones: grant %d = %d, want %d", start, i, g, want)
+			}
+		}
+	}
+	req := []bool{false, true, false, true, true}
+	for i := 0; i < 3; i++ {
+		if g := PriorityEncoder(req); g != 1 {
+			t.Fatalf("PriorityEncoder call %d = %d, want 1", i, g)
+		}
+		PriorityEncoder(all)
+	}
+}
+
 // Property: over any request pattern with at least one asserted line, the
 // arbiter never starves: each persistently requesting line is granted at
 // least once every width grants.

@@ -7,10 +7,19 @@
 //	         when all PGUs are busy; S4 is decoupled by ready/valid)
 //	Stage 4  arbitrate PGU completions and write pulses to the pulse cache
 //
-// The model executes one cycle per step with real data flowing through:
-// program entries are read from and written back to the quantum
-// controller cache, SLT lookups hit the slt.Bank, and completed PGUs
-// store genuine synthesized pulse entries.
+// The model is cycle-exact with real data flowing through: program
+// entries are read from and written back to the quantum controller
+// cache, SLT lookups hit the slt.Bank, and completed PGUs store genuine
+// synthesized pulse entries.
+//
+// Most cycles of a run are quiet: PGUs count down their 1000-cycle
+// latency while no stage fetches, decodes, dispatches or writes back.
+// Run steps every cycle in which a stage acts and advances over each
+// quiet span in one step, moving only the countdowns (PGU remain, the
+// stage-2 QSpace stall) and the cycle and stall tallies. Spans end one
+// cycle before the next event, so every Result field, cache write, SLT
+// update and metric equals that of a loop stepping one cycle at a time;
+// the package tests keep such a loop as the oracle (DESIGN.md §16).
 package pipeline
 
 import (
@@ -121,7 +130,7 @@ type pguState struct {
 	done    bool
 }
 
-// Run processes the work items in order and returns cycle-accurate
+// Run processes the work items in order and returns cycle-exact
 // results. It mutates the cache: program entries get their QAddr/Status
 // fields updated and generated pulses land in the .pulse segment.
 func (p *Pipeline) Run(items []WorkItem) (Result, error) {
@@ -166,10 +175,27 @@ func (p *Pipeline) Run(items []WorkItem) (Result, error) {
 		return false
 	}
 
+	limit := int64(len(items))*p.cfg.PGULatency*2 + 10000
 	var cycles int64
 	for next < len(items) || inflight() {
+		if k := quietSpan(pgus, s2v, s3v, s2stall, next < len(items), limit-cycles); k > 0 {
+			// Fast-forward k quiet cycles: only countdowns move.
+			cycles += k
+			for i := range pgus {
+				if pgus[i].busy {
+					pgus[i].remain -= k
+				}
+			}
+			if s3v { // a quiet cycle holding a stage-3 job is a stall
+				res.StallCycles += k
+			}
+			d := min(k, s2stall)
+			s2stall -= d
+			res.QSpaceCycles += d
+			continue
+		}
 		cycles++
-		if cycles > int64(len(items))*p.cfg.PGULatency*2+10000 {
+		if cycles > limit {
 			return res, fmt.Errorf("pipeline: livelock after %d cycles", cycles)
 		}
 
@@ -256,6 +282,49 @@ func (p *Pipeline) Run(items []WorkItem) (Result, error) {
 	p.cQSpaceStall.Add(res.QSpaceCycles)
 	p.cCycles.Add(res.Cycles)
 	return res, nil
+}
+
+// quietSpan reports how many cycles, starting with the next one, are
+// quiet: cycles in which nothing moves but countdowns. A cycle is quiet
+// when
+//
+//   - no PGU is done, so stage 4 grants nothing (Arbiter.Grant on an
+//     all-false vector leaves its rotation unchanged);
+//   - stage 3 has no job, or has one and every PGU is busy (a stall);
+//   - stage 2 is counting down a QSpace stall, or cannot decode;
+//   - stage 1 cannot fetch.
+//
+// The span ends one cycle before the next event: the first busy PGU to
+// finish (its remain-1), or the stage-2 countdown releasing a waiting
+// decode or fetch (s2stall-1). With no PGU busy and nothing waiting, the
+// run drains with the countdown. headroom, the cycles left before the
+// livelock limit, caps the span so the livelock error fires on the same
+// cycle as when every cycle is stepped. Zero means: step the next cycle.
+func quietSpan(pgus []pguState, s2v, s3v bool, s2stall int64, canFetch bool, headroom int64) int64 {
+	k := headroom
+	anyBusy, allBusy := false, true
+	for i := range pgus {
+		switch {
+		case pgus[i].done:
+			return 0
+		case pgus[i].busy:
+			anyBusy = true
+			k = min(k, pgus[i].remain-1)
+		default:
+			allBusy = false
+		}
+	}
+	if s3v && !allBusy {
+		return 0 // stage 3 dispatches
+	}
+	// Unless stage 3 stalls them, stages 1–2 act as soon as the QSpace
+	// countdown lets them.
+	if !s3v && (s2v || canFetch) {
+		k = min(k, s2stall-1)
+	} else if !anyBusy {
+		k = min(k, s2stall)
+	}
+	return max(k, 0)
 }
 
 // decode performs the stage-2 work for one entry. It reports whether a

@@ -70,28 +70,63 @@ func DefaultParams() Params {
 // marker entry so downstream accounting sees one pulse per gate, matching
 // the paper's pulse-count model.
 func Synthesize(kind circuit.Kind, theta float64, durationNs float64, p Params) Waveform {
+	s := newShape(sampleCount(durationNs, p), drivePhase(kind), p)
+	scale := angleScale(theta, p)
+	wf := make(Waveform, s.n)
+	for i := range wf {
+		wf[i] = s.sample(i, scale)
+	}
+	return wf
+}
+
+// sampleCount is the number of DAC samples in a pulse of durationNs,
+// clamped to one so every gate emits at least a marker sample.
+func sampleCount(durationNs float64, p Params) int {
 	n := int(durationNs * p.SampleRateHz / 1e9)
 	if n <= 0 {
 		n = 1
 	}
-	wf := make(Waveform, n)
-	scale := p.Amplitude * normalizedAngle(theta) / math.Pi
+	return n
+}
+
+// angleScale is the amplitude a rotation by theta applies to the unit
+// shape.
+func angleScale(theta float64, p Params) float64 {
+	return p.Amplitude * normalizedAngle(theta) / math.Pi
+}
+
+// shape is the unit-amplitude drive of one (sample count, drive axis)
+// pair under one Params: the I and Q values every pulse of that pair
+// scales by its angle. It depends on neither the angle nor Amplitude, so
+// a PGU computes it once and renders each pulse with one multiply and
+// one quantization per sample.
+type shape struct {
+	n     int
+	phase float64
+	i, q  []float64
+}
+
+func newShape(n int, phase float64, p Params) shape {
+	s := shape{n: n, phase: phase, i: make([]float64, n), q: make([]float64, n)}
 	center := float64(n-1) / 2
 	sigmaSamples := p.Sigma * p.SampleRateHz
 	if sigmaSamples <= 0 {
 		sigmaSamples = float64(n) / 4
 	}
-	phase := drivePhase(kind)
-	for i := range wf {
-		t := (float64(i) - center) / sigmaSamples
+	for k := 0; k < n; k++ {
+		t := (float64(k) - center) / sigmaSamples
 		env := math.Exp(-t * t / 2)
 		denv := -t / sigmaSamples * env * p.DRAGLambda
 		// Rotate (env, denv) by the drive phase to select X vs Y axis.
-		iVal := scale * (env*math.Cos(phase) - denv*math.Sin(phase))
-		qVal := scale * (env*math.Sin(phase) + denv*math.Cos(phase))
-		wf[i] = IQ{I: quantize(iVal), Q: quantize(qVal)}
+		s.i[k] = env*math.Cos(phase) - denv*math.Sin(phase)
+		s.q[k] = env*math.Sin(phase) + denv*math.Cos(phase)
 	}
-	return wf
+	return s
+}
+
+// sample renders sample k of the shape at the given angle scale.
+func (s *shape) sample(k int, scale float64) IQ {
+	return IQ{I: quantize(scale * s.i[k]), Q: quantize(scale * s.q[k])}
 }
 
 // normalizedAngle folds an angle into (-π, π] so that physically
@@ -139,18 +174,24 @@ type Entry [WordsPerEntry]uint64
 // PackEntries packs a waveform into consecutive 640-bit entries, zero
 // padding the tail.
 func PackEntries(wf Waveform) []Entry {
-	n := (len(wf) + SamplesPerEntry - 1) / SamplesPerEntry
-	if n == 0 {
-		n = 1
-	}
-	out := make([]Entry, n)
+	out := make([]Entry, entryCount(len(wf)))
 	for i, s := range wf {
-		word := (i % SamplesPerEntry) / SamplesPerWord
-		slot := i % SamplesPerWord
-		packed := uint64(uint16(s.I)) | uint64(uint16(s.Q))<<16
-		out[i/SamplesPerEntry][word] |= packed << (32 * slot)
+		putSample(out, i, s)
 	}
 	return out
+}
+
+// entryCount is the number of entries n samples occupy (at least one).
+func entryCount(n int) int {
+	return max(1, (n+SamplesPerEntry-1)/SamplesPerEntry)
+}
+
+// putSample ORs sample i into its slot of the zeroed entry run out.
+func putSample(out []Entry, i int, s IQ) {
+	word := (i % SamplesPerEntry) / SamplesPerWord
+	slot := i % SamplesPerWord
+	packed := uint64(uint16(s.I)) | uint64(uint16(s.Q))<<16
+	out[i/SamplesPerEntry][word] |= packed << (32 * slot)
 }
 
 // UnpackEntries reverses PackEntries; n is the original sample count.
@@ -201,10 +242,19 @@ func (s SerDes) Serialize(entries []Entry) []uint64 {
 
 // PGU is a pulse generation unit: a fixed-function synthesizer with the
 // paper's enforced 1000-cycle latency. Busy tracking belongs to the
-// pipeline model; PGU itself is purely functional plus a latency constant.
+// pipeline model; PGU itself is functional plus a latency constant.
+//
+// A PGU keeps the unit shapes it has rendered, keyed by sample count
+// and drive axis, and the entry buffer Generate returns. Both belong to
+// the PGU, not to the package: sweeps run many machines concurrently,
+// each with its own PGU. A PGU is not safe for concurrent use.
 type PGU struct {
 	Params       Params
 	LatencyCycle int64
+
+	shapeParams Params  // the Params shapes were computed under
+	shapes      []shape // unit shapes, at most one per (n, phase)
+	entries     []Entry // Generate's output buffer
 }
 
 // NewPGU returns a PGU with default synthesis parameters and the paper's
@@ -212,7 +262,38 @@ type PGU struct {
 func NewPGU() *PGU { return &PGU{Params: DefaultParams(), LatencyCycle: 1000} }
 
 // Generate synthesizes and packs the pulse for one gate instance.
-// durationNs follows the gate-timing model (20 ns 1q / 40 ns 2q).
+// durationNs follows the gate-timing model (20 ns 1q / 40 ns 2q). The
+// entries equal PackEntries(Synthesize(kind, theta, durationNs,
+// p.Params)); they live in the PGU's buffer and stay valid until the
+// next Generate call.
 func (p *PGU) Generate(kind circuit.Kind, theta float64, durationNs float64) []Entry {
-	return PackEntries(Synthesize(kind, theta, durationNs, p.Params))
+	s := p.shape(sampleCount(durationNs, p.Params), drivePhase(kind))
+	scale := angleScale(theta, p.Params)
+	m := entryCount(s.n)
+	if cap(p.entries) < m {
+		p.entries = make([]Entry, m)
+	}
+	out := p.entries[:m]
+	clear(out)
+	for k := 0; k < s.n; k++ {
+		putSample(out, k, s.sample(k, scale))
+	}
+	return out
+}
+
+// shape returns the unit shape for (n, phase), computing it on first
+// use. A change to Params drops every cached shape.
+func (p *PGU) shape(n int, phase float64) *shape {
+	if p.Params != p.shapeParams {
+		p.shapes, p.shapeParams = p.shapes[:0], p.Params
+	}
+	// The phase is one of drivePhase's constants: an identity key, so
+	// it is compared by its bits.
+	for i := range p.shapes {
+		if s := &p.shapes[i]; s.n == n && math.Float64bits(s.phase) == math.Float64bits(phase) {
+			return s
+		}
+	}
+	p.shapes = append(p.shapes, newShape(n, phase, p.Params))
+	return &p.shapes[len(p.shapes)-1]
 }

@@ -3,6 +3,7 @@ package pulse
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -170,12 +171,14 @@ func TestPGUGenerate(t *testing.T) {
 	if pgu.LatencyCycle != 1000 {
 		t.Errorf("PGU latency = %d cycles, want 1000 (paper §7.1)", pgu.LatencyCycle)
 	}
-	entries := pgu.Generate(circuit.RX, math.Pi/4, 20)
+	// Generate returns the PGU's own buffer; copy before the next call.
+	entries := slices.Clone(pgu.Generate(circuit.RX, math.Pi/4, 20))
 	if len(entries) != 2 { // 40 samples → 2 entries of 20
 		t.Errorf("20ns pulse entries = %d, want 2", len(entries))
 	}
 	// Identical inputs give identical packed pulses — the property the SLT
 	// relies on to skip regeneration.
+	pgu.Generate(circuit.RY, 2, 40)
 	again := pgu.Generate(circuit.RX, math.Pi/4, 20)
 	for i := range entries {
 		if entries[i] != again[i] {
