@@ -22,7 +22,6 @@ import (
 	"time"
 
 	"qtenon/internal/bench"
-	"qtenon/internal/lint"
 	"qtenon/internal/route"
 	"qtenon/internal/wallclock"
 )
@@ -31,17 +30,13 @@ import (
 // the in-tree perf trajectory (BENCH_6.json at the repo root is one of
 // these, regenerated per perf-relevant PR).
 type jsonReport struct {
-	Schema     string `json:"schema"`
-	GoVersion  string `json:"go_version"`
-	GOMAXPROCS int    `json:"gomaxprocs"`
-	// LintAnalyzers stamps how many qtenon-lint analyzers gated the tree
-	// that produced this run — perf numbers are only comparable across
-	// PRs when the invariant suite that vouches for them is known.
-	LintAnalyzers int              `json:"lint_analyzers"`
-	Quick         bool             `json:"quick"`
-	Experiments   []jsonExperiment `json:"experiments"`
-	CacheHits     int64            `json:"cache_hits"`
-	CacheMisses   int64            `json:"cache_misses"`
+	Schema      string           `json:"schema"`
+	GoVersion   string           `json:"go_version"`
+	GOMAXPROCS  int              `json:"gomaxprocs"`
+	Quick       bool             `json:"quick"`
+	Experiments []jsonExperiment `json:"experiments"`
+	CacheHits   int64            `json:"cache_hits"`
+	CacheMisses int64            `json:"cache_misses"`
 }
 
 type jsonExperiment struct {
@@ -156,11 +151,10 @@ func main() {
 		names = strings.Split(*exp, ",")
 	}
 	rep := jsonReport{
-		Schema:        "qtenon-bench/2",
-		GoVersion:     runtime.Version(),
-		GOMAXPROCS:    runtime.GOMAXPROCS(0),
-		LintAnalyzers: len(lint.All()),
-		Quick:         *quick,
+		Schema:     "qtenon-bench/2",
+		GoVersion:  runtime.Version(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		Quick:      *quick,
 	}
 	for _, name := range names {
 		name = strings.TrimSpace(name)

@@ -1,12 +1,10 @@
 // Command qtenon-lint runs the repository's invariant analyzers
 // (internal/lint) over Go packages: determinism, scratcharena,
 // metricsdiscipline, floatcompare, eventretention, parsafety, unitflow,
-// deepscratch, hotpath, bitexact, shardsafety, routepurity,
-// goroutinelifecycle, chandiscipline, lockorder, ctxflow. See
-// DESIGN.md §9–§10 for the invariant catalogue, the interprocedural
-// summaries, and the //lint:ignore suppression directive, §14 for the
-// v3 allocation/bit-exactness/partition/purity analyzers, and §15 for
-// the v4 concurrency-liveness analyzers.
+// deepscratch, hotpath. See DESIGN.md §9–§10 for the invariant
+// catalogue, the interprocedural summaries, and the //lint:ignore
+// suppression directive, §14 for the hotpath allocation proofs, and §15
+// for the retired analyzers and the dynamic checks that replaced them.
 //
 // Usage:
 //

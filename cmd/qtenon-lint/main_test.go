@@ -170,13 +170,16 @@ func TestListNamesAllAnalyzers(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("-list: exit %d, want 0", code)
 	}
-	for _, name := range []string{
+	names := []string{
 		"determinism", "scratcharena", "metricsdiscipline", "floatcompare",
-		"eventretention", "parsafety", "unitflow", "deepscratch",
-		"hotpath", "bitexact", "shardsafety", "routepurity",
-	} {
+		"eventretention", "parsafety", "unitflow", "deepscratch", "hotpath",
+	}
+	for _, name := range names {
 		if !strings.Contains(stdout, name) {
 			t.Errorf("-list output missing analyzer %q:\n%s", name, stdout)
 		}
+	}
+	if lines := strings.Count(stdout, "\n"); lines != len(names) {
+		t.Errorf("-list printed %d analyzers, want %d:\n%s", lines, len(names), stdout)
 	}
 }

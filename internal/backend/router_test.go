@@ -32,6 +32,9 @@ func requireSameRunResult(t *testing.T, a, b report.RunResult, label string) {
 		t.Errorf("%s: pulses/slt (%d,%.17g) vs (%d,%.17g)", label,
 			a.PulsesGenerated, a.SLTHitRate, b.PulsesGenerated, b.SLTHitRate)
 	}
+	if a.Method != b.Method {
+		t.Errorf("%s: method %q vs %q", label, a.Method, b.Method)
+	}
 	if len(a.History) != len(b.History) {
 		t.Fatalf("%s: history lengths %d vs %d", label, len(a.History), len(b.History))
 	}

@@ -31,18 +31,6 @@ func hotpathAnnotated(fd *ast.FuncDecl) bool {
 	return false
 }
 
-// hotpathFile reports whether file contains at least one
-// //qtenon:hotpath-annotated function — the "kernel file" scope shared
-// with bitexact.
-func hotpathFile(file *ast.File) bool {
-	for _, d := range file.Decls {
-		if fd, ok := d.(*ast.FuncDecl); ok && hotpathAnnotated(fd) {
-			return true
-		}
-	}
-	return false
-}
-
 // HotPath proves //qtenon:hotpath-annotated functions heap-allocation-
 // free, transitively through the allocation dimension of the v3
 // interprocedural summaries (DESIGN.md §14.1). Inside an annotated body

@@ -10,26 +10,15 @@ import (
 )
 
 // This file is the v3 extension of the interprocedural layer (DESIGN.md
-// §14): two further per-function summary dimensions computed inside the
-// same monotone fixpoint as the retain/mutate/flow bitsets.
-//
-//   - allocation: may this function heap-allocate in steady state,
-//     transitively through its in-program callees? The hotpath analyzer
-//     proves //qtenon:hotpath-annotated functions allocation-free with
-//     it. Unlike the aliasing dimensions, the optimistic-inert stance
-//     inverts here: an unknown callee (stdlib, export-data-only) is
-//     assumed to allocate unless it is on the curated allowlists below,
-//     because "probably fine" is exactly how allocations creep into a
-//     hot loop.
-//   - write-target: where do this function's stores land? The existing
-//     mutates bitset already answers "which parameter"; the v3 fact adds
-//     the bucket that escapes every partition — package-level state —
-//     which shardsafety (a concurrent closure must confine writes to its
-//     chunk) and routepurity (selection must not perturb any global)
-//     both consume. Alongside it rides the seam dimension: transitive
-//     calls into internal/rng, internal/wallclock, internal/metrics,
-//     time.Now, or a math/rand package-level stream, which routepurity
-//     forbids on the selection path outright.
+// §14): the allocation dimension, computed inside the same monotone
+// fixpoint as the retain/mutate/flow bitsets. May this function
+// heap-allocate in steady state, transitively through its in-program
+// callees? The hotpath analyzer proves //qtenon:hotpath-annotated
+// functions allocation-free with it. Unlike the aliasing dimensions,
+// the optimistic-inert stance inverts here: an unknown callee (stdlib,
+// export-data-only) is assumed to allocate unless it is on the curated
+// allowlists below, because "probably fine" is exactly how allocations
+// creep into a hot loop.
 //
 // Steady-state, not literally-never: the repository's arena idiom grows
 // scratch capacity on first use and recycles it forever after. The
@@ -65,17 +54,9 @@ var allocFreeFuncs = map[string]bool{
 	"qtenon/internal/par.Workers":    true,
 }
 
-// seamPkgs maps a package path to why calling into it taints the caller
-// for routepurity.
-var seamPkgs = map[string]string{
-	"qtenon/internal/rng":       "the seeded-RNG seam",
-	"qtenon/internal/wallclock": "the wall-clock seam",
-	"qtenon/internal/metrics":   "the metrics registry",
-}
-
-// summarizeV3 folds the allocation and write-target/seam facts into
-// sum; reports whether it grew. Each fact is set-once (monotone), so a
-// function already proven allocating is never rescanned.
+// summarizeV3 folds the allocation fact into sum; reports whether it
+// grew. The fact is set-once (monotone), so a function already proven
+// allocating is never rescanned.
 func summarizeV3(p *Program, fi *FuncInfo, sum *FuncSummary) bool {
 	changed := false
 	if sum.allocSite == "" {
@@ -84,9 +65,6 @@ func summarizeV3(p *Program, fi *FuncInfo, sum *FuncSummary) bool {
 			changed = true
 			return false // first witness is enough for the summary
 		})
-	}
-	if sum.globalSite == "" || sum.seamSite == "" {
-		scanEffects(p, fi, sum, &changed)
 	}
 	return changed
 }
@@ -589,146 +567,4 @@ func isErrorType(t types.Type) bool {
 	}
 	named, ok := t.(*types.Named)
 	return ok && named.Obj().Pkg() == nil && named.Obj().Name() == "error"
-}
-
-// ---- write-target / seam effect scanning ----
-
-// scanEffects folds global-write and seam-call facts into sum.
-func scanEffects(p *Program, fi *FuncInfo, sum *FuncSummary, changed *bool) {
-	info := fi.Pkg.Info
-	fset := fi.Pkg.Fset
-	setGlobal := func(pos token.Pos, format string, args ...any) {
-		if sum.globalSite == "" {
-			sum.globalSite = fmt.Sprintf("%s: %s", shortPos(fset, pos), fmt.Sprintf(format, args...))
-			*changed = true
-		}
-	}
-	setSeam := func(pos token.Pos, format string, args ...any) {
-		if sum.seamSite == "" {
-			sum.seamSite = fmt.Sprintf("%s: %s", shortPos(fset, pos), fmt.Sprintf(format, args...))
-			*changed = true
-		}
-	}
-	ast.Inspect(fi.Decl.Body, func(n ast.Node) bool {
-		if sum.globalSite != "" && sum.seamSite != "" {
-			return false
-		}
-		switch n := n.(type) {
-		case *ast.AssignStmt:
-			for _, lhs := range n.Lhs {
-				if v := pkgLevelRoot(info, lhs); v != nil {
-					setGlobal(lhs.Pos(), "stores to package-level %q", v.Name())
-				}
-			}
-		case *ast.IncDecStmt:
-			if v := pkgLevelRoot(info, n.X); v != nil {
-				setGlobal(n.X.Pos(), "updates package-level %q", v.Name())
-			}
-		case *ast.CallExpr:
-			if (isBuiltinIn(info, n, "copy") || isBuiltinIn(info, n, "append") || isBuiltinIn(info, n, "delete")) && len(n.Args) > 0 {
-				if v := pkgLevelRoot(info, n.Args[0]); v != nil {
-					setGlobal(n.Pos(), "writes package-level %q", v.Name())
-				}
-				return true
-			}
-			callee := calleeIn(info, n)
-			if callee == nil {
-				return true
-			}
-			if desc := seamCallDesc(callee); desc != "" {
-				setSeam(n.Pos(), "calls %s", desc)
-			}
-			csum := p.Summary(callee)
-			if csum == nil {
-				return true
-			}
-			if csum.globalSite != "" {
-				setGlobal(n.Pos(), "calls %s, which writes package-level state (%s)", callee.Name(), csum.globalSite)
-			}
-			if csum.seamSite != "" {
-				setSeam(n.Pos(), "calls %s, which reaches a seam (%s)", callee.Name(), csum.seamSite)
-			}
-			if csum.RecvMutated() {
-				if sel, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr); ok {
-					if v := pkgLevelRoot(info, sel.X); v != nil {
-						setGlobal(n.Pos(), "calls %s, mutating package-level %q", callee.Name(), v.Name())
-					}
-				}
-			}
-			for i, arg := range n.Args {
-				if csum.ArgMutated(i) {
-					if v := pkgLevelRoot(info, arg); v != nil {
-						setGlobal(arg.Pos(), "passes package-level %q to %s, which writes through it", v.Name(), callee.Name())
-					}
-				}
-			}
-		}
-		return true
-	})
-}
-
-// seamCallDesc describes f when it belongs to a global-effect seam:
-// internal/rng, internal/wallclock, internal/metrics (any function or
-// method), time's clock reads, or a math/rand package-level stream.
-func seamCallDesc(f *types.Func) string {
-	pkg := f.Pkg()
-	if pkg == nil {
-		return ""
-	}
-	path := pkg.Path()
-	if why, ok := seamPkgs[path]; ok {
-		return fmt.Sprintf("%s.%s (%s)", pkg.Name(), f.Name(), why)
-	}
-	isMethod := f.Type().(*types.Signature).Recv() != nil
-	switch path {
-	case "time":
-		if !isMethod && (f.Name() == "Now" || f.Name() == "Since" || f.Name() == "Until") {
-			return "time." + f.Name() + " (wall clock)"
-		}
-	case "math/rand", "math/rand/v2":
-		if !isMethod {
-			return path + "." + f.Name() + " (global RNG stream)"
-		}
-	}
-	return ""
-}
-
-// pkgLevelRoot walks a store target to its base object and returns that
-// object when it is a package-level variable (directly, or through a
-// pkg.Var qualified reference); nil otherwise.
-func pkgLevelRoot(info *types.Info, e ast.Expr) *types.Var {
-	for {
-		switch x := ast.Unparen(e).(type) {
-		case *ast.Ident:
-			if x.Name == "_" {
-				return nil
-			}
-			if v, ok := objectIn(info, x).(*types.Var); ok && isPkgLevelVar(v) {
-				return v
-			}
-			return nil
-		case *ast.SelectorExpr:
-			if id, ok := ast.Unparen(x.X).(*ast.Ident); ok {
-				if _, isPkg := objectIn(info, id).(*types.PkgName); isPkg {
-					if v, ok := objectIn(info, x.Sel).(*types.Var); ok && isPkgLevelVar(v) {
-						return v
-					}
-					return nil
-				}
-			}
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.SliceExpr:
-			e = x.X
-		case *ast.StarExpr:
-			e = x.X
-		default:
-			return nil
-		}
-	}
-}
-
-func isPkgLevelVar(v *types.Var) bool {
-	return v != nil && !v.IsField() && v.Pkg() != nil && v.Parent() == v.Pkg().Scope()
 }

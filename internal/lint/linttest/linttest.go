@@ -51,7 +51,6 @@ func sharedResolver(t *testing.T) *lint.Resolver {
 	t.Helper()
 	// Duplicate test goroutines wait behind one `go list -export` run;
 	// the run is finite and the test binary owns the whole process.
-	//lint:ignore ctxflow memoized fixture load in a test harness — finite, offline, process-owned (DESIGN.md §15.4)
 	loadOnce.Do(func() {
 		moduleDir, err := lint.ModuleDir(".")
 		if err != nil {

@@ -12,13 +12,6 @@ func All() []*Analyzer {
 		UnitFlow,
 		DeepScratch,
 		HotPath,
-		BitExact,
-		ShardSafety,
-		RoutePurity,
-		GoroutineLifecycle,
-		ChanDiscipline,
-		LockOrder,
-		CtxFlow,
 	}
 }
 

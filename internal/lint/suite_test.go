@@ -67,54 +67,6 @@ func TestHotPathFixtures(t *testing.T) {
 	t.Run("multipkg", func(t *testing.T) { linttest.RunMulti(t, lint.HotPath, "testdata/hotpath/multipkg") })
 }
 
-func TestBitExactFixtures(t *testing.T) {
-	for _, dir := range []string{"bad", "good"} {
-		t.Run(dir, func(t *testing.T) { linttest.Run(t, lint.BitExact, "testdata/bitexact/"+dir) })
-	}
-}
-
-func TestShardSafetyFixtures(t *testing.T) {
-	for _, dir := range []string{"bad", "good"} {
-		t.Run(dir, func(t *testing.T) { linttest.Run(t, lint.ShardSafety, "testdata/shardsafety/"+dir) })
-	}
-}
-
-func TestRoutePurityFixtures(t *testing.T) {
-	for _, dir := range []string{"bad", "good", "engine"} {
-		t.Run(dir, func(t *testing.T) { linttest.Run(t, lint.RoutePurity, "testdata/routepurity/"+dir) })
-	}
-}
-
-func TestGoroutineLifecycleFixtures(t *testing.T) {
-	for _, dir := range []string{"bad", "good"} {
-		t.Run(dir, func(t *testing.T) { linttest.Run(t, lint.GoroutineLifecycle, "testdata/goroutinelifecycle/"+dir) })
-	}
-	t.Run("multipkg", func(t *testing.T) {
-		linttest.RunMulti(t, lint.GoroutineLifecycle, "testdata/goroutinelifecycle/multipkg")
-	})
-}
-
-func TestChanDisciplineFixtures(t *testing.T) {
-	for _, dir := range []string{"bad", "good"} {
-		t.Run(dir, func(t *testing.T) { linttest.Run(t, lint.ChanDiscipline, "testdata/chandiscipline/"+dir) })
-	}
-	t.Run("multipkg", func(t *testing.T) { linttest.RunMulti(t, lint.ChanDiscipline, "testdata/chandiscipline/multipkg") })
-}
-
-func TestLockOrderFixtures(t *testing.T) {
-	for _, dir := range []string{"bad", "good"} {
-		t.Run(dir, func(t *testing.T) { linttest.Run(t, lint.LockOrder, "testdata/lockorder/"+dir) })
-	}
-	t.Run("multipkg", func(t *testing.T) { linttest.RunMulti(t, lint.LockOrder, "testdata/lockorder/multipkg") })
-}
-
-func TestCtxFlowFixtures(t *testing.T) {
-	for _, dir := range []string{"bad", "good"} {
-		t.Run(dir, func(t *testing.T) { linttest.Run(t, lint.CtxFlow, "testdata/ctxflow/"+dir) })
-	}
-	t.Run("multipkg", func(t *testing.T) { linttest.RunMulti(t, lint.CtxFlow, "testdata/ctxflow/multipkg") })
-}
-
 // TestDirectives drives the //lint:ignore machinery programmatically:
 // the malformed-directive diagnostic lands on the directive's own line,
 // where a want comment cannot sit.

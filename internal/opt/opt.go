@@ -193,7 +193,6 @@ func evalPair(eval Evaluator, a, b []float64, parallelism int) (va, vb float64, 
 	vals[1], errs[1] = eval(b)
 	// Exactly one Done balances the Add(1) above and the spawned closure
 	// runs one finite evaluation, so the join is structurally bounded.
-	//lint:ignore ctxflow bounded join — the single spawned evaluation Dones unconditionally via defer (DESIGN.md §15.4)
 	wg.Wait()
 	va, vb = vals[0], vals[1]
 	if errs[0] != nil {

@@ -13,9 +13,15 @@
 //     deterministic.
 //  2. No regression on small inputs. Loops shorter than SerialThreshold
 //     run inline on the calling goroutine with zero synchronization.
-//  3. No deadlocks under composition. The caller always participates in
-//     its own job, so a job completes even when every pool worker is
-//     busy; workers never block on anything but the job queue.
+//  3. No deadlocks under composition. A job can be dispatched from
+//     inside another job's body, even when every pool worker is busy in
+//     sibling items. The caller runs its own job to exhaustion, then
+//     seals it and waits only for the helpers that claimed it off the
+//     queue before the seal. Those helpers are already running chunks,
+//     so the wait is bounded. A helper registers when it claims the job,
+//     not when the caller enqueues it, so a queue entry no worker gets
+//     to in time is never waited on; dequeued after the seal, it is a
+//     no-op.
 //
 // The pool is lazily spawned and persists for the life of the process.
 // Workers pull jobs from a shared queue; a job is a bag of chunks drained
@@ -59,13 +65,30 @@ type job struct {
 	n     int
 	chunk int
 	next  atomic.Int64
-	wg    sync.WaitGroup
+	// mu guards sealed and every wg.Add: helpers join under it, and the
+	// caller seals under it before waiting, so no Add races the Wait.
+	mu     sync.Mutex
+	sealed bool
+	wg     sync.WaitGroup
 	// aborted stops further chunk claims after a body panic; panicked
 	// holds the first recovered panic value, re-raised on the dispatching
 	// goroutine once every participant has drained. Both stay untouched
 	// (two relaxed loads per chunk) on the non-panicking path.
 	aborted  atomic.Bool
 	panicked atomic.Pointer[any]
+}
+
+// join registers a helper that claimed the job off the queue. It
+// reports false once the caller has sealed the job: every chunk is
+// already done or running, so there is nothing left to help with.
+func (j *job) join() bool {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.sealed {
+		return false
+	}
+	j.wg.Add(1)
+	return true
 }
 
 // run drains chunks until the job is exhausted or aborted. A panic in
@@ -124,8 +147,10 @@ func ensureSpawned(n int) {
 					if j == nil {
 						return // Shutdown poison: the pool is winding down
 					}
-					j.run()
-					j.wg.Done()
+					if j.join() {
+						j.run()
+						j.wg.Done()
+					}
 				}
 			}()
 		}
@@ -140,10 +165,8 @@ func ensureSpawned(n int) {
 func Shutdown() {
 	n := int(spawned.Swap(0))
 	for i := 0; i < n; i++ {
-		// The queue's capacity exceeds any real worker count and, by the
-		// quiescence precondition, workers are parked receiving on it, so
-		// poison delivery is bounded.
-		//lint:ignore ctxflow poison send into a buffered queue whose receivers are idle by precondition (DESIGN.md §15.4)
+		// By the quiescence precondition the workers are idle receiving on
+		// the queue, so poison delivery is bounded.
 		work <- nil
 	}
 }
@@ -156,20 +179,19 @@ func dispatch(j *job, helpers int) {
 	}
 	ensureSpawned(helpers)
 	for i := 0; i < helpers; i++ {
-		j.wg.Add(1)
 		select {
 		case work <- j:
 		default:
-			j.wg.Done()
 			i = helpers // queue full: run the rest ourselves
 		}
 	}
 	j.run()
-	// The join is structurally bounded: every worker holding a wg slot is
-	// running chunks of this same finite job (or skipping them after an
-	// abort), so Wait cannot outlive the job — the caller participates
-	// rather than parks, which is the sanctioned fan-out shape.
-	//lint:ignore ctxflow bounded join — helpers finish their claimed chunks of a finite job and Done unconditionally (DESIGN.md §15.4)
+	// Every chunk is claimed (or the job aborted). Seal the job so late
+	// queue entries are no-ops, then wait for the helpers that joined
+	// before the seal.
+	j.mu.Lock()
+	j.sealed = true
+	j.mu.Unlock()
 	j.wg.Wait()
 	if p := j.panicked.Load(); p != nil {
 		// Re-raise the body's panic on the calling goroutine, after every

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // covers asserts body visits every index in [0, n) exactly once.
@@ -219,5 +220,65 @@ func TestForPanicAborts(t *testing.T) {
 	// below n.
 	if got := touched.Load(); got > int64(8*chunkSize) {
 		t.Fatalf("touched %d indices after a first-chunk panic, want early abort (≤ %d)", got, 8*chunkSize)
+	}
+}
+
+// Nested dispatch must terminate at every pool width: an item of an
+// outer job that dispatches an inner job may find every pool worker
+// busy inside sibling outer items, so the inner job's caller has to be
+// able to finish on its own. Each case runs under a deadline that names
+// it, so a deadlock fails in seconds instead of at the test timeout.
+func TestNestedDispatchTerminates(t *testing.T) {
+	defer SetWorkers(0)
+	const deadline = 10 * time.Second
+	const inner = 2 * SerialThreshold
+	// Each case returns the number of inner indices visited and the
+	// number it should have visited.
+	cases := []struct {
+		name string
+		run  func(w int) (got, want int64)
+	}{
+		{"Do->Do", func(w int) (int64, int64) {
+			var n atomic.Int64
+			Do(4*w, func(int) {
+				Do(2*w, func(int) { n.Add(1) })
+			})
+			return n.Load(), int64(8 * w * w)
+		}},
+		{"Do->For", func(w int) (int64, int64) {
+			var n atomic.Int64
+			Do(4*w, func(int) {
+				For(inner, func(lo, hi int) { n.Add(int64(hi - lo)) })
+			})
+			return n.Load(), int64(4 * w * inner)
+		}},
+		{"DoScratch->Do", func(w int) (int64, int64) {
+			var n atomic.Int64
+			DoScratch(4*w, w, func(_, _ int) {
+				Do(2*w, func(int) { n.Add(1) })
+			})
+			return n.Load(), int64(8 * w * w)
+		}},
+	}
+	for w := 2; w <= 8; w++ {
+		SetWorkers(w)
+		for _, c := range cases {
+			done := make(chan [2]int64, 1)
+			go func() {
+				var got, want int64
+				for round := 0; round < 20 && got == want; round++ {
+					got, want = c.run(w)
+				}
+				done <- [2]int64{got, want}
+			}()
+			select {
+			case r := <-done:
+				if r[0] != r[1] {
+					t.Fatalf("%s at SetWorkers(%d): visited %d inner indices, want %d", c.name, w, r[0], r[1])
+				}
+			case <-time.After(deadline):
+				t.Fatalf("%s at SetWorkers(%d): nested dispatch did not finish within %v (deadlock)", c.name, w, deadline)
+			}
+		}
 	}
 }

@@ -11,12 +11,12 @@ import (
 	"qtenon/internal/san"
 )
 
-// TestMain is the package's goroutine leak canary (DESIGN.md §15.5):
+// TestMain is the package's goroutine leak canary (DESIGN.md §15):
 // the pool is the module's only persistent goroutine population, so
 // after the suite runs and Shutdown drains it, the live count must
 // return to the pre-suite baseline. A worker that misses its poison —
 // or a test that strands a fan-out goroutine — fails the simsan build
-// here, the runtime twin of the goroutinelifecycle analyzer.
+// here.
 func TestMain(m *testing.M) {
 	baseline := runtime.NumGoroutine()
 	code := m.Run()

@@ -5,8 +5,8 @@ import (
 	"time"
 )
 
-// CheckGoroutineLeak is the runtime twin of the goroutinelifecycle
-// analyzer (DESIGN.md §15.5): it audits the process's goroutine
+// CheckGoroutineLeak is the goroutine leak canary (DESIGN.md §15): it
+// audits the process's goroutine
 // high-water mark against a baseline captured before the suspect work
 // ran. The scheduler is given time to settle — goroutines that have
 // terminated but not yet been reaped do not count as leaks — by
