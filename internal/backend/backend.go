@@ -69,7 +69,7 @@ type Instrumented interface {
 // in batch order: identical values, identical accounting. The accounting
 // machines satisfy this trivially (their evaluations are inherently
 // serial events on one machine timeline); simulator-only backends may
-// share a fused-gate plan and scratch arena across the batch.
+// share a scratch arena across the batch.
 type Batcher interface {
 	EvaluateBatch(sets [][]float64, out []float64) error
 }
@@ -112,14 +112,12 @@ func Optimize(alg Algorithm, eval opt.Evaluator, initial []float64, o opt.Option
 // its own counts).
 //
 // One backend is one machine with one serial timeline: its Evaluate
-// mutates controller, cache and clock state. RunOn therefore evaluates
-// it serially and treats o.Parallelism > 1 as 1; concurrency across
-// runs comes from minting one backend per run. GD-shaped runs on a
-// Batcher backend route through the batched parameter-shift path (one
-// EvaluateBatch per gradient), which produces results identical to
-// serial Evaluate calls by the Batcher contract.
+// mutates controller, cache and clock state, and the optimizers call it
+// serially; concurrency across runs comes from minting one backend per
+// run. GD-shaped runs on a Batcher backend route through the batched
+// parameter-shift path (one EvaluateBatch per gradient), which produces
+// results identical to serial Evaluate calls by the Batcher contract.
 func RunOn(b Backend, initial []float64, alg Algorithm, o opt.Options) (report.RunResult, error) {
-	o.Parallelism = min(o.Parallelism, 1)
 	var res opt.Result
 	var err error
 	if batch := BatchOf(b); batch != nil && (alg == GD || alg == Adam) {

@@ -116,7 +116,8 @@ type instruments struct {
 	shotTime     *metrics.Timer
 	pulses       *metrics.Counter
 	// methods counts evaluations per routed simulation method, indexed
-	// by route.Method ("quantum.method.dense" etc.; Auto never fires).
+	// by route.Method ("quantum.method.dense" etc.; Auto is never
+	// resolved, so it has no counter).
 	methods [route.NumMethods]*metrics.Counter
 }
 
@@ -148,7 +149,7 @@ func New(cfg Config, w *vqa.Workload) (*System, error) {
 	}
 	reg := metrics.NewRegistry()
 	var methods [route.NumMethods]*metrics.Counter
-	for m := route.Method(0); m < route.NumMethods; m++ {
+	for m := route.Auto + 1; m < route.NumMethods; m++ {
 		methods[m] = reg.Counter("quantum.method." + m.String())
 	}
 	return &System{

@@ -27,8 +27,8 @@ func batchTestOptions(iters int) Options {
 	return o
 }
 
-// The batched gradient-descent driver over the serial reference adapter
-// must be bit-identical to the serial driver: same history, same final
+// GradientDescent(eval) must be bit-identical to
+// GradientDescentBatch(Batch(eval)): same history, same final
 // parameters, same evaluation count.
 func TestGradientDescentBatchMatchesSerial(t *testing.T) {
 	initial := []float64{0.4, -1.2, 2.0, 0.05}
@@ -81,7 +81,7 @@ func compareResults(t *testing.T, got, want Result) {
 
 // The batch a BatchEvaluator sees per iteration is [+0, −0, +1, −1, …]
 // followed by one single-point batch at the updated parameters — the
-// serial shiftGradient's exact evaluation sequence (DESIGN.md §11.4).
+// evaluation sequence the accounting machines replay serially.
 func TestBatchOrderIsSerialShiftOrder(t *testing.T) {
 	initial := []float64{1.0, 2.0}
 	o := batchTestOptions(1)
@@ -132,28 +132,5 @@ func TestBatchErrorPropagation(t *testing.T) {
 	}
 	if _, err := AdamBatch(eval, []float64{1}, batchTestOptions(2)); err != boom {
 		t.Errorf("AdamBatch error = %v, want boom", err)
-	}
-}
-
-// The convenience router prefers the batch path and falls back serially.
-func TestGradientDescentEvaluatorRouting(t *testing.T) {
-	initial := []float64{0.3, -0.7}
-	o := batchTestOptions(3)
-	want, err := GradientDescent(batchTestCost, initial, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaBatch, err := GradientDescentEvaluator(nil, Batch(batchTestCost), initial, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	compareResults(t, viaBatch, want)
-	viaSerial, err := GradientDescentEvaluator(batchTestCost, nil, initial, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	compareResults(t, viaSerial, want)
-	if _, err := GradientDescentEvaluator(nil, nil, initial, o); err == nil {
-		t.Error("router accepted two nil evaluators")
 	}
 }

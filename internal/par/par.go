@@ -1,8 +1,7 @@
 // Package par is the repository's shared parallel-execution engine: a
 // persistent worker pool with chunked parallel-for and deterministic
-// reductions, used by the statevector kernels (internal/qsim), the
-// optimizer gradient evaluation (internal/opt), and the benchmark sweep
-// generators (internal/bench).
+// reductions, used by the statevector kernels (internal/qsim) and the
+// benchmark sweep generators (internal/bench).
 //
 // Design constraints, in order:
 //
@@ -244,54 +243,6 @@ func Do(n int, body func(i int)) {
 		chunk: 1,
 	}
 	dispatch(j, w-1)
-}
-
-// DoScratch executes body(slot, i) for every i in [0, n) with at most
-// `width` concurrent participants (capped by the pool width). slot
-// identifies the participant: 0 ≤ slot < width, and no two concurrent
-// calls ever share a slot, so callers can thread per-worker scratch
-// buffers through it — the allocation-free alternative to a fresh
-// buffer per item. Items are claimed dynamically, so the slot→item
-// assignment is nondeterministic; like Do, callers must assemble
-// results by index for determinism.
-func DoScratch(n, width int, body func(slot, i int)) {
-	if n <= 0 {
-		return
-	}
-	if w := Workers(); width > w {
-		width = w
-	}
-	if width > n {
-		width = n
-	}
-	if n == 1 || width <= 1 {
-		for i := 0; i < n; i++ {
-			body(0, i)
-		}
-		return
-	}
-	// Each of the job's `width` unit chunks is one participant slot; the
-	// slot's loop drains items through a shared counter. A participant
-	// that picks up several slots (e.g. the caller, when the queue is
-	// full) runs them sequentially, which keeps the no-shared-slot
-	// guarantee.
-	var next atomic.Int64
-	j := &job{
-		fn: func(lo, hi int) {
-			for slot := lo; slot < hi; slot++ {
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= n {
-						break
-					}
-					body(slot, i)
-				}
-			}
-		},
-		n:     width,
-		chunk: 1,
-	}
-	dispatch(j, width-1)
 }
 
 // reduce partitions [0, n) into fixed chunkSize ranges, evaluates chunk

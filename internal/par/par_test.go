@@ -99,8 +99,8 @@ func TestSumComplexDeterministic(t *testing.T) {
 }
 
 // Concurrent For calls from independent goroutines must not interfere —
-// this is the shape the optimizer produces (parallel evaluations, each
-// running parallel kernels).
+// the shape sweep generators produce (concurrent runs, each running
+// parallel kernels).
 func TestConcurrentJobs(t *testing.T) {
 	SetWorkers(4)
 	defer SetWorkers(0)
@@ -251,13 +251,6 @@ func TestNestedDispatchTerminates(t *testing.T) {
 				For(inner, func(lo, hi int) { n.Add(int64(hi - lo)) })
 			})
 			return n.Load(), int64(4 * w * inner)
-		}},
-		{"DoScratch->Do", func(w int) (int64, int64) {
-			var n atomic.Int64
-			DoScratch(4*w, w, func(_, _ int) {
-				Do(2*w, func(int) { n.Add(1) })
-			})
-			return n.Load(), int64(8 * w * w)
 		}},
 	}
 	for w := 2; w <= 8; w++ {

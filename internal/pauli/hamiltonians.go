@@ -68,13 +68,13 @@ func MaxCut(n int, edges [][2]int, weight float64) *Hamiltonian {
 }
 
 // CutValue evaluates the cut size of a bitstring assignment for the edge
-// list (number of edges crossing the partition).
+// list (number of edges crossing the partition). The count is
+// branchless: the sampled bits are data-dependent and random, so a
+// compare-and-branch form mispredicts about half its edges.
 func CutValue(edges [][2]int, assignment uint64) int {
 	cut := 0
 	for _, e := range edges {
-		if (assignment>>e[0])&1 != (assignment>>e[1])&1 {
-			cut++
-		}
+		cut += int((assignment>>e[0] ^ assignment>>e[1]) & 1)
 	}
 	return cut
 }

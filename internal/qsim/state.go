@@ -399,15 +399,9 @@ func (s *State) applyRZZ(a, b int, theta float64) {
 // {u00, u01, u10, u11}; ok is false for kinds that are not one-qubit
 // unitaries.
 func gateMatrix1Q(g circuit.Gate) (m [4]complex128, ok bool) {
-	return gateMatrix1QTheta(g.Kind, g.Theta)
-}
-
-// gateMatrix1QTheta is gateMatrix1Q over an explicit angle — the form
-// plan binding uses, where the angle comes from the parameter vector
-// rather than the gate.
-func gateMatrix1QTheta(k circuit.Kind, theta float64) (m [4]complex128, ok bool) {
+	theta := g.Theta
 	invSqrt2 := complex(1/math.Sqrt2, 0)
-	switch k {
+	switch g.Kind {
 	case circuit.I:
 		return [4]complex128{1, 0, 0, 1}, true
 	case circuit.X:

@@ -27,7 +27,6 @@ import (
 
 	"qtenon/internal/circuit"
 	"qtenon/internal/qsim/engine"
-	"qtenon/internal/qsim/product"
 	"qtenon/internal/rng"
 	"qtenon/internal/route"
 	"qtenon/internal/sim"
@@ -35,7 +34,7 @@ import (
 
 // ExactLimit is the largest register simulated dense-exactly for
 // generic (non-Clifford) circuits — the router's DenseLimit.
-const ExactLimit = 16
+const ExactLimit = route.DefaultDenseLimit
 
 // Executor abstracts a quantum execution backend: the ideal Chip or a
 // NoisyChip. System models depend on this interface so the error model
@@ -53,14 +52,6 @@ type Execution struct {
 
 // TotalTime is shots × per-shot duration.
 func (e Execution) TotalTime() sim.Time { return sim.Time(len(e.Outcomes)) * e.ShotTime }
-
-// ProductState is the mean-field surrogate, promoted to
-// internal/qsim/product; the alias keeps the original API importable
-// from quantum.
-type ProductState = product.State
-
-// NewProductState returns |0…0⟩ — see product.New.
-func NewProductState(n int) *ProductState { return product.New(n) }
 
 // Chip executes bound circuits and samples measurements. Each Execute
 // routes its circuit to a simulation method; the per-method simulator

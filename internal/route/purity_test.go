@@ -11,6 +11,7 @@ import (
 	"qtenon/internal/host"
 	"qtenon/internal/metrics"
 	"qtenon/internal/opt"
+	"qtenon/internal/qsim/shard"
 	"qtenon/internal/report"
 	"qtenon/internal/route"
 	"qtenon/internal/system"
@@ -59,7 +60,7 @@ func selected(m route.Method, a route.Analysis, err error) selection {
 // forced router, and construct every engine.
 func considerEverything(t *testing.T, cs []*circuit.Circuit) {
 	t.Helper()
-	routers := []route.Router{route.Default(), {DenseLimit: 10, ShardedLimit: 22}, {Force: route.Sharded}}
+	routers := []route.Router{route.Default(), {DenseLimit: 10}, {Force: route.Sharded}}
 	for _, c := range cs {
 		route.Analyze(c)
 		for _, r := range routers {
@@ -134,10 +135,16 @@ func TestSelectRepeatable(t *testing.T) {
 		do   func() selection
 	}
 	cs := selectionInputs(t) // QAOA 8, 20, 64; Clifford 26; mid-measure 4
-	narrow := route.Router{DenseLimit: 10, ShardedLimit: 22}
+	narrow := route.Router{DenseLimit: 10}
 	var calls []call
 	for ri, r := range []route.Router{route.Default(), narrow} {
-		// Expected methods at the circuit's own width and 4 qubits wider.
+		// Expected methods at the circuit's own width and `wider` qubits
+		// wider: 4 for the stock router, and for the narrow one enough to
+		// put the 20-qubit circuit one past the sharded engine's window.
+		wider := 4
+		if ri == 1 {
+			wider = shard.MaxQubits + 1 - cs[1].NQubits
+		}
 		wants := [][2]route.Method{
 			{route.Dense, route.Dense},
 			{route.Sharded, route.Sharded},
@@ -146,13 +153,13 @@ func TestSelectRepeatable(t *testing.T) {
 			{route.Dense, route.Dense},
 		}
 		if ri == 1 {
-			wants[0][1] = route.Sharded // 12 qubits > DenseLimit 10
-			wants[1][1] = route.Product // 24 qubits > ShardedLimit 22
+			wants[0][1] = route.Sharded // 8+wider qubits > DenseLimit 10
+			wants[1][1] = route.Product // shard.MaxQubits+1 qubits
 		}
 		for ci, c := range cs {
 			calls = append(calls,
 				call{fmt.Sprintf("router %d Select(circuit %d)", ri, ci), wants[ci][0], func() selection { return selected(r.Select(c)) }},
-				call{fmt.Sprintf("router %d SelectWidth(circuit %d, +4)", ri, ci), wants[ci][1], func() selection { return selected(r.SelectWidth(c, c.NQubits+4)) }})
+				call{fmt.Sprintf("router %d SelectWidth(circuit %d, +%d)", ri, ci, wider), wants[ci][1], func() selection { return selected(r.SelectWidth(c, c.NQubits+wider)) }})
 		}
 	}
 	first := make([]selection, len(calls))

@@ -103,10 +103,9 @@ func (c Class) String() string {
 }
 
 // DefaultDenseLimit is the widest register the router sends to the
-// contiguous dense engine — quantum.ExactLimit's pre-router value, kept
-// here so the split survives the Chip refactor. Generic circuits past
-// it route to the sharded engine (up to DefaultShardedLimit), then the
-// product surrogate.
+// contiguous dense engine; quantum.ExactLimit is defined from it.
+// Generic circuits past it route to the sharded engine (up to
+// DefaultShardedLimit), then the product surrogate.
 const DefaultDenseLimit = 16
 
 // DefaultShardedLimit is the widest register the router sends to the
@@ -168,9 +167,6 @@ type Router struct {
 	// DenseLimit is the widest register routed to the contiguous dense
 	// engine; 0 means DefaultDenseLimit.
 	DenseLimit int
-	// ShardedLimit is the widest register routed to the sharded dense
-	// engine; 0 means DefaultShardedLimit.
-	ShardedLimit int
 	// Force pins every circuit to one method (non-Auto); selection fails
 	// with an error when the forced method cannot run the circuit.
 	Force Method
@@ -184,13 +180,6 @@ func (r Router) denseLimit() int {
 		return r.DenseLimit
 	}
 	return DefaultDenseLimit
-}
-
-func (r Router) shardedLimit() int {
-	if r.ShardedLimit > 0 {
-		return r.ShardedLimit
-	}
-	return DefaultShardedLimit
 }
 
 // Select chooses a method for a bound circuit using the circuit's own
@@ -226,7 +215,7 @@ func (r Router) SelectWidth(c *circuit.Circuit, width int) (Method, Analysis, er
 		return Clifford, a, nil
 	case width <= r.denseLimit():
 		return Dense, a, nil
-	case width <= r.shardedLimit():
+	case width <= DefaultShardedLimit:
 		// ClassHuge (and wide Clifford-dominated) circuits stay
 		// dense-exact on the sharded engine up to its window.
 		return Sharded, a, nil

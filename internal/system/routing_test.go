@@ -85,3 +85,27 @@ func TestRoutedCostStatisticallyConsistent(t *testing.T) {
 		t.Errorf("routed cost %v vs all-to-all %v differ by %v", r, a, diff)
 	}
 }
+
+// Routing onto a device wider than the workload must size every
+// per-qubit structure by the routed width: a 7-qubit QAOA on a 3×3 grid
+// executes a 9-qubit circuit, so the SLT bank needs 9 tables to match
+// the controller cache and pipeline.
+func TestRoutedWiderThanWorkloadEvaluates(t *testing.T) {
+	w, err := vqa.New(vqa.QAOA, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig(host.Rocket())
+	cfg.Shots = 200
+	cfg.Coupling = mapper.Grid(3, 3)
+	s, err := New(cfg, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.exec.NQubits <= w.NQubits() {
+		t.Fatalf("routed width %d not above workload width %d", s.exec.NQubits, w.NQubits())
+	}
+	if _, err := s.Evaluate(w.InitialParams); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -179,7 +179,8 @@ type sysInstruments struct {
 	shots                               *metrics.Counter
 	shotTime                            *metrics.Timer
 	// methods counts evaluations per routed simulation method, indexed
-	// by route.Method ("quantum.method.dense" etc.; Auto never fires).
+	// by route.Method ("quantum.method.dense" etc.; Auto is never
+	// resolved, so it has no counter).
 	methods [route.NumMethods]*metrics.Counter
 }
 
@@ -196,7 +197,7 @@ func resolveSysInstruments(reg *metrics.Registry) sysInstruments {
 		shots:       reg.Counter("quantum.shots"),
 		shotTime:    reg.Timer("quantum.shot_time_ps"),
 	}
-	for m := route.Method(0); m < route.NumMethods; m++ {
+	for m := route.Auto + 1; m < route.NumMethods; m++ {
 		si.methods[m] = reg.Counter("quantum.method." + m.String())
 	}
 	return si
@@ -228,7 +229,7 @@ func New(cfg Config, w *vqa.Workload) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	bank := slt.NewBank(w.NQubits(), cacheCfg.PulseEntries)
+	bank := slt.NewBank(exec.NQubits, cacheCfg.PulseEntries)
 	pcfg := pipeline.Config{
 		PGUs:       cfg.PGUs,
 		PGULatency: cfg.PGULatency,
