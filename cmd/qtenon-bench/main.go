@@ -7,12 +7,10 @@
 //	qtenon-bench -exp fig13      # one experiment
 //	qtenon-bench -quick          # CI-sized parameters
 //	qtenon-bench -list           # list experiment ids
-//	qtenon-bench -json out.json  # also emit machine-readable timings
 //	qtenon-bench -method dense   # pin the simulation engine (auto|dense|clifford|product|sharded)
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -26,34 +24,6 @@ import (
 	"qtenon/internal/wallclock"
 )
 
-// jsonReport is the machine-readable run record the -json flag emits —
-// the in-tree perf trajectory (BENCH_6.json at the repo root is one of
-// these, regenerated per perf-relevant PR).
-type jsonReport struct {
-	Schema      string           `json:"schema"`
-	GoVersion   string           `json:"go_version"`
-	GOMAXPROCS  int              `json:"gomaxprocs"`
-	Quick       bool             `json:"quick"`
-	Experiments []jsonExperiment `json:"experiments"`
-	CacheHits   int64            `json:"cache_hits"`
-	CacheMisses int64            `json:"cache_misses"`
-}
-
-type jsonExperiment struct {
-	Name   string  `json:"name"`
-	WallMS float64 `json:"wall_ms"`
-	// NsPerOp is the wall time divided by the unique runs the experiment
-	// executed (cache misses attributed to it); AllocsPerOp is the heap
-	// allocation count over the same denominator. Together they make the
-	// bench trajectory comparable across PRs even as experiments grow
-	// more (or fewer) cached sweep points.
-	NsPerOp     float64 `json:"ns_per_op"`
-	AllocsPerOp float64 `json:"allocs_per_op"`
-	// Method is the engine pin the experiment ran under ("auto" unless
-	// -method forced one).
-	Method string `json:"method"`
-}
-
 func main() {
 	var (
 		exp        = flag.String("exp", "all", "experiment id (see -list) or 'all'")
@@ -62,7 +32,6 @@ func main() {
 		csvDir     = flag.String("csv", "", "also write sweep data (fig11/fig12) as CSV into this directory")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = flag.String("memprofile", "", "write an allocation profile to this file on exit")
-		jsonOut    = flag.String("json", "", "write per-experiment wall-clock timings as JSON to this file")
 		method     = flag.String("method", "auto", "simulation engine: auto routes per circuit; dense|clifford|product|sharded pin one")
 	)
 	flag.Parse()
@@ -150,17 +119,8 @@ func main() {
 	if *exp != "all" {
 		names = strings.Split(*exp, ",")
 	}
-	rep := jsonReport{
-		Schema:     "qtenon-bench/2",
-		GoVersion:  runtime.Version(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Quick:      *quick,
-	}
 	for _, name := range names {
 		name = strings.TrimSpace(name)
-		_, missesBefore := bench.CacheStats()
-		var msBefore runtime.MemStats
-		runtime.ReadMemStats(&msBefore)
 		sw := wallclock.Start()
 		out, err := bench.Run(name, sc)
 		if err != nil {
@@ -168,37 +128,8 @@ func main() {
 			os.Exit(1)
 		}
 		elapsed := sw.Elapsed()
-		var msAfter runtime.MemStats
-		runtime.ReadMemStats(&msAfter)
-		_, missesAfter := bench.CacheStats()
-		// Ops = unique runs this experiment executed. An experiment fully
-		// served from cache counts as one op so the ratios stay finite.
-		ops := missesAfter - missesBefore
-		if ops < 1 {
-			ops = 1
-		}
 		fmt.Print(out)
 		fmt.Printf("[%s completed in %v]\n\n", name, elapsed.Round(time.Millisecond))
-		rep.Experiments = append(rep.Experiments, jsonExperiment{
-			Name:        name,
-			WallMS:      float64(elapsed) / float64(time.Millisecond),
-			NsPerOp:     float64(elapsed.Nanoseconds()) / float64(ops),
-			AllocsPerOp: float64(msAfter.Mallocs-msBefore.Mallocs) / float64(ops),
-			Method:      sc.Method.String(),
-		})
 	}
 	fmt.Println(bench.CacheStatsLine())
-	if *jsonOut != "" {
-		rep.CacheHits, rep.CacheMisses = bench.CacheStats()
-		data, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "qtenon-bench:", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*jsonOut, append(data, '\n'), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "qtenon-bench:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s (%d experiments)\n", *jsonOut, len(rep.Experiments))
-	}
 }

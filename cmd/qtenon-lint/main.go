@@ -1,10 +1,9 @@
 // Command qtenon-lint runs the repository's invariant analyzers
 // (internal/lint) over Go packages: determinism, scratcharena,
-// metricsdiscipline, floatcompare, eventretention, parsafety, unitflow,
-// deepscratch, hotpath. See DESIGN.md §9–§10 for the invariant
-// catalogue, the interprocedural summaries, and the //lint:ignore
-// suppression directive, §14 for the hotpath allocation proofs, and §15
-// for the retired analyzers and the dynamic checks that replaced them.
+// metricsdiscipline, floatcompare, eventretention. See DESIGN.md §9 for
+// the invariant catalogue and the //lint:ignore suppression directive,
+// and §15 for the retired analyzers and the dynamic checks that
+// replaced them.
 //
 // Usage:
 //
@@ -14,13 +13,10 @@
 //	qtenon-lint -format=json ./...    # machine-readable diagnostics
 //	qtenon-lint -format=github ./...  # GitHub Actions annotations
 //
-// All named packages are loaded into one interprocedural program, so
-// function summaries cross package boundaries; narrowing the patterns
-// narrows what the summary-driven analyzers can see.
-//
-// It can also serve as a vet tool, reusing go vet's package loader and
-// build cache (one package per invocation, so summaries degrade to the
-// intra-package view):
+// Every analyzer is intraprocedural and checks one package at a time,
+// so narrowing the patterns changes which packages are checked, never
+// what is found in them. The tool can also serve as a vet tool, reusing
+// go vet's package loader and build cache, with the same answer:
 //
 //	go vet -vettool=$(command -v qtenon-lint) ./...
 //
@@ -100,12 +96,14 @@ func main() {
 		os.Exit(2)
 	}
 
-	// One program over every loaded package: the summary-driven
-	// analyzers see across package boundaries.
-	diags, err := lint.RunProgram(pkgs, analyzers)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "qtenon-lint: %v\n", err)
-		os.Exit(2)
+	var diags []lint.Diagnostic
+	for _, pkg := range pkgs {
+		ds, err := lint.Run(pkg, analyzers)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "qtenon-lint: %v\n", err)
+			os.Exit(2)
+		}
+		diags = append(diags, ds...)
 	}
 
 	switch *format {

@@ -6,6 +6,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -111,18 +112,9 @@ func TestExitCodeOperationalFailure(t *testing.T) {
 // the analyzer's DESIGN.md section.
 func TestJSONSchema(t *testing.T) {
 	dir := writeModule(t, map[string]string{
-		"kern/kern.go": `package kern
-
-//qtenon:hotpath
-func Grow(dst []float64, n int) []float64 {
-	for i := 0; i < n; i++ {
-		dst = append(dst, 0)
-	}
-	return dst
-}
-`,
+		"kern/kern.go": "package kern\n\nimport \"time\"\n\nfunc Stamp() int64 { return time.Now().UnixNano() }\n",
 	})
-	stdout, stderr, code := runLint(t, dir, "-only", "hotpath", "-format=json", "./...")
+	stdout, stderr, code := runLint(t, dir, "-only", "determinism", "-format=json", "./...")
 	if code != 1 {
 		t.Fatalf("exit %d, want 1\nstdout:\n%s\nstderr:\n%s", code, stdout, stderr)
 	}
@@ -147,8 +139,8 @@ func Grow(dst []float64, n int) []float64 {
 		t.Fatal(err)
 	}
 	d := diags[0]
-	if d.Analyzer != "hotpath" {
-		t.Errorf("analyzer = %q, want hotpath", d.Analyzer)
+	if d.Analyzer != "determinism" {
+		t.Errorf("analyzer = %q, want determinism", d.Analyzer)
 	}
 	if d.File != "kern/kern.go" {
 		t.Errorf("file = %q, want module-relative kern/kern.go", d.File)
@@ -156,12 +148,12 @@ func Grow(dst []float64, n int) []float64 {
 	if d.Line <= 0 || d.Column <= 0 {
 		t.Errorf("position %d:%d should be 1-based", d.Line, d.Column)
 	}
-	if !strings.Contains(d.Message, "allocation-free") {
+	if !strings.Contains(d.Message, "host clock") {
 		t.Errorf("message should state the invariant, got %q", d.Message)
 	}
-	want := "//lint:ignore hotpath"
-	if !strings.HasPrefix(d.SuggestedIgnore, want) || !strings.Contains(d.SuggestedIgnore, "DESIGN.md §14.1") {
-		t.Errorf("suggested_ignore = %q, want prefix %q citing DESIGN.md §14.1", d.SuggestedIgnore, want)
+	want := "//lint:ignore determinism"
+	if !strings.HasPrefix(d.SuggestedIgnore, want) || !strings.Contains(d.SuggestedIgnore, "DESIGN.md §9") {
+		t.Errorf("suggested_ignore = %q, want prefix %q citing DESIGN.md §9", d.SuggestedIgnore, want)
 	}
 }
 
@@ -172,7 +164,7 @@ func TestListNamesAllAnalyzers(t *testing.T) {
 	}
 	names := []string{
 		"determinism", "scratcharena", "metricsdiscipline", "floatcompare",
-		"eventretention", "parsafety", "unitflow", "deepscratch", "hotpath",
+		"eventretention",
 	}
 	for _, name := range names {
 		if !strings.Contains(stdout, name) {
@@ -181,5 +173,49 @@ func TestListNamesAllAnalyzers(t *testing.T) {
 	}
 	if lines := strings.Count(stdout, "\n"); lines != len(names) {
 		t.Errorf("-list printed %d analyzers, want %d:\n%s", lines, len(names), stdout)
+	}
+}
+
+// TestVetToolMatchesCLI pins that the two entry points give the same
+// answer: every analyzer checks one package at a time, so go vet's
+// one-package-per-invocation protocol sees what the CLI sees.
+func TestVetToolMatchesCLI(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a throwaway module through go vet")
+	}
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := writeModule(t, map[string]string{
+		"a/a.go": "package a\n\nimport \"time\"\n\nfunc Stamp() int64 { return time.Now().UnixNano() }\n",
+		"b/b.go": "package b\n\nfunc Eq(x, y float64) bool { return x == y }\n",
+	})
+	stdout, _, code := runLint(t, dir, "./...")
+	if code != 1 {
+		t.Fatalf("CLI: exit %d, want 1\n%s", code, stdout)
+	}
+	var cli []string
+	for _, line := range strings.Split(strings.TrimSpace(stdout), "\n") {
+		cli = append(cli, strings.TrimPrefix(line, dir+string(filepath.Separator)))
+	}
+
+	cmd := exec.Command("go", "vet", "-vettool="+exe, "./...")
+	cmd.Dir = dir
+	cmd.Env = append(os.Environ(), "QTENON_LINT_MAIN=1")
+	out, err := cmd.CombinedOutput()
+	if _, ok := err.(*exec.ExitError); !ok {
+		t.Fatalf("go vet: %v, want a diagnostics exit\n%s", err, out)
+	}
+	var vet []string
+	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+		if !strings.HasPrefix(line, "#") {
+			vet = append(vet, line)
+		}
+	}
+	sort.Strings(cli)
+	sort.Strings(vet)
+	if strings.Join(cli, "\n") != strings.Join(vet, "\n") {
+		t.Errorf("go vet -vettool and the CLI disagree\nCLI:\n%s\nvet:\n%s", strings.Join(cli, "\n"), strings.Join(vet, "\n"))
 	}
 }

@@ -41,7 +41,7 @@ func main() {
 		core        = flag.String("core", "boom", "rocket | boom (Qtenon host core)")
 		showTrace   = flag.Bool("trace", false, "render a resource timeline of the Qtenon run")
 		noisy       = flag.Bool("noise", false, "run the chip with typical NISQ error rates")
-		coupling    = flag.String("coupling", "all", "all | line | grid (Qtenon qubit connectivity; non-all routes the circuit)")
+		coupling    = flag.String("coupling", "all", "all | line | grid (qubit connectivity of both machines; non-all routes the circuit)")
 		showMetrics = flag.Bool("metrics", false, "dump each run's full metrics-registry snapshot as JSON")
 		cpuProfile  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile  = flag.String("memprofile", "", "write an allocation profile to this file on exit")
@@ -81,6 +81,28 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
+	// Route once, before either machine is built, so both execute and
+	// score the same transpiled circuit.
+	var cm *mapper.Coupling
+	switch strings.ToLower(*coupling) {
+	case "all":
+	case "line":
+		cm = mapper.Line(*qubits)
+	case "grid":
+		rows := 1
+		for rows*rows < *qubits {
+			rows++
+		}
+		cols := (*qubits + rows - 1) / rows
+		cm = mapper.Grid(rows, cols)
+	default:
+		fail(fmt.Errorf("unknown coupling %q", *coupling))
+	}
+	if cm != nil {
+		if w, err = vqa.Routed(w, cm); err != nil {
+			fail(err)
+		}
+	}
 	useSPSA := strings.EqualFold(*optimizer, "spsa")
 	if !useSPSA && !strings.EqualFold(*optimizer, "gd") {
 		fail(fmt.Errorf("unknown optimizer %q", *optimizer))
@@ -103,20 +125,6 @@ func main() {
 		cfg.Shots = *shots
 		if *noisy {
 			cfg.Noise = quantum.TypicalNISQ()
-		}
-		switch strings.ToLower(*coupling) {
-		case "all":
-		case "line":
-			cfg.Coupling = mapper.Line(*qubits)
-		case "grid":
-			rows := 1
-			for rows*rows < *qubits {
-				rows++
-			}
-			cols := (*qubits + rows - 1) / rows
-			cfg.Coupling = mapper.Grid(rows, cols)
-		default:
-			fail(fmt.Errorf("unknown coupling %q", *coupling))
 		}
 		qsys, err := system.New(cfg, w)
 		if err != nil {

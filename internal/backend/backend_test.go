@@ -6,7 +6,9 @@ import (
 	"qtenon/internal/backend"
 	"qtenon/internal/baseline"
 	"qtenon/internal/host"
+	"qtenon/internal/mapper"
 	"qtenon/internal/system"
+	"qtenon/internal/vqa"
 )
 
 func TestAlgorithmString(t *testing.T) {
@@ -112,4 +114,46 @@ func TestBaselineSnapshotLive(t *testing.T) {
 			t.Errorf("%s = 0, want live count", name)
 		}
 	}
+}
+
+// TestRoutedWorkloadSameOnBothMachines: a workload routed once with
+// vqa.Routed executes the same transpiled circuit on both machines, so
+// their cost histories are identical, as they are unrouted. Qtenon's
+// Config.Coupling routes through the same function, so it reproduces
+// the pre-routed Qtenon run exactly.
+func TestRoutedWorkloadSameOnBothMachines(t *testing.T) {
+	w, err := vqa.New(vqa.QAOA, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grid := mapper.Grid(3, 3)
+	routed, err := vqa.Routed(w, grid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := goldenOptions()
+	q, err := backend.Run(system.Factory{Cfg: system.DefaultConfig(host.Rocket())}, routed, backend.SPSA, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := backend.Run(baseline.Factory{Cfg: baseline.DefaultConfig()}, routed, backend.SPSA, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(q.History) != o.Iterations || len(b.History) != o.Iterations {
+		t.Fatalf("history lengths %d and %d, want %d", len(q.History), len(b.History), o.Iterations)
+	}
+	for i := range q.History {
+		if q.History[i] != b.History[i] {
+			t.Errorf("history[%d]: Qtenon %.17g, baseline %.17g", i, q.History[i], b.History[i])
+		}
+	}
+
+	cfg := system.DefaultConfig(host.Rocket())
+	cfg.Coupling = grid
+	c, err := backend.Run(system.Factory{Cfg: cfg}, w, backend.SPSA, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameRunResult(t, c, q, "Config.Coupling vs vqa.Routed")
 }

@@ -7,7 +7,7 @@ import (
 	"qtenon/internal/lint/linttest"
 )
 
-// TestAnalyzersFireOnViolations is the vacuity guard for the v3
+// TestAnalyzersFireOnViolations is the vacuity guard for the
 // analyzers: each bad fixture must produce at least one diagnostic from
 // the analyzer under test, with a real position inside the fixture. The
 // want-comment harness alone cannot catch an analyzer whose scope check
@@ -20,7 +20,11 @@ func TestAnalyzersFireOnViolations(t *testing.T) {
 		fixture  string
 		minDiags int
 	}{
-		{lint.HotPath, "testdata/hotpath/bad", 10},
+		{lint.Determinism, "testdata/determinism/bad", 6},
+		{lint.ScratchArena, "testdata/scratcharena/bad", 5},
+		{lint.MetricsDiscipline, "testdata/metricsdiscipline/bad", 4},
+		{lint.FloatCompare, "testdata/floatcompare/bad", 4},
+		{lint.EventRetention, "testdata/eventretention/bad", 4},
 	}
 	for _, tc := range cases {
 		t.Run(tc.analyzer.Name, func(t *testing.T) {
@@ -50,15 +54,19 @@ func TestAnalyzersFireOnViolations(t *testing.T) {
 
 // TestAnalyzersSilentOnCleanFixtures is the inverse guard: the good
 // fixtures must stay diagnostic-free when run programmatically, proving
-// the exemption machinery (cold ranges, partition narrowing, pairing
-// parens) actually engages rather than the analyzer flagging everything
-// and wants absorbing the noise.
+// the exemption machinery (collect-then-sort, approved helpers, fresh
+// scratch destinations) actually engages rather than the analyzer
+// flagging everything and wants absorbing the noise.
 func TestAnalyzersSilentOnCleanFixtures(t *testing.T) {
 	cases := []struct {
 		analyzer *lint.Analyzer
 		fixture  string
 	}{
-		{lint.HotPath, "testdata/hotpath/good"},
+		{lint.Determinism, "testdata/determinism/good"},
+		{lint.ScratchArena, "testdata/scratcharena/good"},
+		{lint.MetricsDiscipline, "testdata/metricsdiscipline/good"},
+		{lint.FloatCompare, "testdata/floatcompare/good"},
+		{lint.EventRetention, "testdata/eventretention/good"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.analyzer.Name, func(t *testing.T) {

@@ -8,10 +8,6 @@ func All() []*Analyzer {
 		MetricsDiscipline,
 		FloatCompare,
 		EventRetention,
-		ParSafety,
-		UnitFlow,
-		DeepScratch,
-		HotPath,
 	}
 }
 

@@ -65,8 +65,6 @@ func (s *batchScratch) ensure(p int) {
 // params using one BatchEvaluator call for all 2P shifted points. The
 // batch is ordered [+0, −0, +1, −1, …], so a Batch-adapted Evaluator
 // sees the points one at a time in that order.
-//
-//qtenon:hotpath
 func shiftGradientBatch(eval BatchEvaluator, params []float64, shift float64, grad []float64, scr *batchScratch) (int, error) {
 	p := len(params)
 	scr.ensure(p)

@@ -102,8 +102,8 @@ func TestRoutedWiderThanWorkloadEvaluates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.exec.NQubits <= w.NQubits() {
-		t.Fatalf("routed width %d not above workload width %d", s.exec.NQubits, w.NQubits())
+	if s.workload.NQubits() <= w.NQubits() {
+		t.Fatalf("routed width %d not above workload width %d", s.workload.NQubits(), w.NQubits())
 	}
 	if _, err := s.Evaluate(w.InitialParams); err != nil {
 		t.Fatal(err)

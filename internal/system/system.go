@@ -61,10 +61,12 @@ type Config struct {
 	ControllerHz int64
 	// Noise selects the chip error model; the zero value is ideal.
 	Noise quantum.Noise
-	// Coupling, when non-nil, routes the workload circuit onto the given
-	// physical connectivity (SWAP insertion via internal/mapper) before
-	// compilation — the transpilation step real hardware requires. Nil
-	// assumes all-to-all connectivity, the paper's implicit setting.
+	// Coupling, when non-nil, routes the workload onto the given physical
+	// connectivity (vqa.Routed) before compilation — the transpilation
+	// step real hardware requires. Nil assumes all-to-all connectivity,
+	// the paper's implicit setting. To compare machines on one routed
+	// circuit, route the workload once with vqa.Routed and hand it to
+	// each machine instead.
 	Coupling *mapper.Coupling
 	// Method pins the chip's simulation method (route.Dense/Clifford/
 	// Product); the zero value route.Auto keeps automatic routing.
@@ -122,11 +124,6 @@ type System struct {
 	cur        []float64
 	loaded     bool
 
-	// exec is the circuit actually executed (routed when Coupling is
-	// set); layout maps logical → physical qubits for outcome remapping.
-	exec   *circuit.Circuit
-	layout []int
-
 	breakdown    report.Breakdown
 	comm         report.CommBreakdown
 	instrs       int
@@ -170,11 +167,13 @@ type System struct {
 }
 
 // sysInstruments are the system-level registry handles: the controller
-// instruction mix (Table 1 ops the run issues), host-side timers, and
-// run/quantum totals.
+// instruction mix (Table 1 ops the run issues), the host-prep timer,
+// the evaluation-tail timer (the timeline left after prep and quantum
+// execution, whichever resource fills it: result traffic, pulse or host
+// work), and run/quantum totals.
 type sysInstruments struct {
 	qSet, qUpdate, qGen, qRun, qAcquire *metrics.Counter
-	hostPrep, hostPost                  *metrics.Timer
+	hostPrep, evalTail                  *metrics.Timer
 	evaluations                         *metrics.Counter
 	shots                               *metrics.Counter
 	shotTime                            *metrics.Timer
@@ -192,7 +191,7 @@ func resolveSysInstruments(reg *metrics.Registry) sysInstruments {
 		qRun:        reg.Counter("controller.instr.q_run"),
 		qAcquire:    reg.Counter("controller.instr.q_acquire"),
 		hostPrep:    reg.Timer("host.prep_ps"),
-		hostPost:    reg.Timer("host.post_ps"),
+		evalTail:    reg.Timer("eval.tail_ps"),
 		evaluations: reg.Counter("system.evaluations"),
 		shots:       reg.Counter("quantum.shots"),
 		shotTime:    reg.Timer("quantum.shot_time_ps"),
@@ -214,22 +213,20 @@ func New(cfg Config, w *vqa.Workload) (*System, error) {
 	if cfg.ControllerHz <= 0 {
 		return nil, fmt.Errorf("system: non-positive controller clock")
 	}
-	exec := w.Circuit
-	var layout []int
 	if cfg.Coupling != nil {
-		routed, err := mapper.Route(w.Circuit, cfg.Coupling)
+		routed, err := vqa.Routed(w, cfg.Coupling)
 		if err != nil {
 			return nil, err
 		}
-		exec = routed.Circuit
-		layout = routed.Layout
+		w = routed
 	}
-	cacheCfg := qcc.DefaultConfig(exec.NQubits)
+	nq := w.NQubits()
+	cacheCfg := qcc.DefaultConfig(nq)
 	cache, err := qcc.NewCache(cacheCfg)
 	if err != nil {
 		return nil, err
 	}
-	bank := slt.NewBank(exec.NQubits, cacheCfg.PulseEntries)
+	bank := slt.NewBank(nq, cacheCfg.PulseEntries)
 	pcfg := pipeline.Config{
 		PGUs:       cfg.PGUs,
 		PGULatency: cfg.PGULatency,
@@ -242,9 +239,9 @@ func New(cfg Config, w *vqa.Workload) (*System, error) {
 	}
 	var chip quantum.Executor
 	if cfg.Noise.Enabled() {
-		chip, err = quantum.NewNoisyChip(exec.NQubits, cfg.Seed, cfg.Noise)
+		chip, err = quantum.NewNoisyChip(nq, cfg.Seed, cfg.Noise)
 	} else {
-		chip, err = quantum.NewChip(exec.NQubits, cfg.Seed)
+		chip, err = quantum.NewChip(nq, cfg.Seed)
 	}
 	if err != nil {
 		return nil, err
@@ -256,7 +253,7 @@ func New(cfg Config, w *vqa.Workload) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	prog, err := compiler.Compile(exec, cacheCfg)
+	prog, err := compiler.Compile(w.Circuit, cacheCfg)
 	if err != nil {
 		return nil, err
 	}
@@ -272,8 +269,6 @@ func New(cfg Config, w *vqa.Workload) (*System, error) {
 		rbq:            tilelink.NewRBQ(busCfg.Tags, 8, 1<<20),
 		barrier:        tilelink.NewBarrier(),
 		prog:           prog,
-		exec:           exec,
-		layout:         layout,
 		controller:     sim.NewClock(cfg.ControllerHz),
 		hostResultBase: 0x9000_0000,
 		reg:            metrics.NewRegistry(),
@@ -365,7 +360,7 @@ func (s *System) EvaluateBatch(sets [][]float64, out []float64) error {
 func (s *System) Evaluate(params []float64) (float64, error) {
 	s.evals++
 	s.m.evaluations.Inc()
-	nq := s.exec.NQubits
+	nq := s.workload.NQubits()
 
 	var hostPrep, commPrep sim.Time
 	if !s.loaded {
@@ -426,7 +421,7 @@ func (s *System) Evaluate(params []float64) (float64, error) {
 	// q_run: execute shots; q_acquire: stream results. The bound shadow
 	// circuit is scratch: Execute consumes it synchronously and never
 	// retains it.
-	bound := s.exec.BindInto(s.boundScratch, params)
+	bound := s.workload.Circuit.BindInto(s.boundScratch, params)
 	s.boundScratch = bound
 	ex, err := s.chip.Execute(bound, s.cfg.Shots)
 	if err != nil {
@@ -490,7 +485,7 @@ func (s *System) Evaluate(params []float64) (float64, error) {
 	s.m.hostPrep.Observe(int64(hostPrep))
 	tail := tl.Total - (hostPrep + commPrep + pulsePrep + tl.Quantum)
 	if tail > 0 {
-		s.m.hostPost.Observe(int64(tail))
+		s.m.evalTail.Observe(int64(tail))
 	}
 
 	// Lay the evaluation out on the event engine at absolute simulated
@@ -523,11 +518,7 @@ func (s *System) Evaluate(params []float64) (float64, error) {
 		s.comm.QAcquire += tail
 	}
 
-	outcomes := ex.Outcomes
-	if s.layout != nil {
-		outcomes = mapper.RemapOutcomes(outcomes, s.layout)
-	}
-	return s.workload.Cost(outcomes), nil
+	return s.workload.Cost(ex.Outcomes), nil
 }
 
 // SetTrace attaches a span recorder; pass nil to disable. Spans are laid

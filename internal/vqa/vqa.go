@@ -19,6 +19,7 @@ import (
 	"math"
 
 	"qtenon/internal/circuit"
+	"qtenon/internal/mapper"
 	"qtenon/internal/pauli"
 )
 
@@ -70,6 +71,27 @@ func (w *Workload) NumParams() int { return w.Circuit.NumParams }
 
 // NQubits reports the register width.
 func (w *Workload) NQubits() int { return w.Circuit.NQubits }
+
+// Routed returns w transpiled onto the physical connectivity cm: the
+// circuit is mapper.Route's SWAP-inserted one (as wide as the device,
+// which may exceed w), and Cost remaps each outcome word from physical
+// back to logical qubit order before scoring. Every machine that runs
+// the routed workload therefore executes the same circuit and scores the
+// same objective. The Hamiltonians and Edges keep describing the logical
+// problem.
+func Routed(w *Workload, cm *mapper.Coupling) (*Workload, error) {
+	r, err := mapper.Route(w.Circuit, cm)
+	if err != nil {
+		return nil, err
+	}
+	out := *w
+	out.Circuit = r.Circuit
+	cost, layout := w.Cost, r.Layout
+	out.Cost = func(outcomes []uint64) float64 {
+		return cost(mapper.RemapOutcomes(outcomes, layout))
+	}
+	return &out, nil
+}
 
 // RegularGraph returns the deterministic MaxCut instance used throughout:
 // a ring plus cross-chords (i, i+n/2), giving degree 3 for even n ≥ 4 —
