@@ -79,17 +79,14 @@ func DefaultConfig() Config {
 type System struct {
 	cfg      Config
 	workload *vqa.Workload
-	chip     quantum.Executor
-	shape    isa.WorkloadShape
-	pulses   int // drive pulses per circuit execution (2q gates → 2)
+	// runner binds and executes each evaluation's circuit on the chip.
+	runner *vqa.Runner
+	shape  isa.WorkloadShape
+	pulses int // drive pulses per circuit execution (2q gates → 2)
 	// programLen is the quantum-dedicated instruction count of one
 	// compiled circuit, measured by actually generating eQASM-style code
 	// for the workload (isa.GenerateEQASM) rather than estimated.
 	programLen int
-
-	// boundScratch is the reusable bound-circuit shadow handed to the
-	// chip each evaluation (Execute consumes it synchronously).
-	boundScratch *circuit.Circuit
 
 	// Accumulated accounting.
 	breakdown report.Breakdown
@@ -113,8 +110,11 @@ type instruments struct {
 	messages     *metrics.Counter
 	instructions *metrics.Counter
 	shots        *metrics.Counter
-	shotTime     *metrics.Timer
-	pulses       *metrics.Counter
+	// replays counts evaluations whose chip execution was served from
+	// the workload's memo (vqa.Runner) instead of simulated.
+	replays  *metrics.Counter
+	shotTime *metrics.Timer
+	pulses   *metrics.Counter
 	// methods counts evaluations per routed simulation method, indexed
 	// by route.Method ("quantum.method.dense" etc.; Auto is never
 	// resolved, so it has no counter).
@@ -129,17 +129,10 @@ func New(cfg Config, w *vqa.Workload) (*System, error) {
 	if err := cfg.Costs.Validate(); err != nil {
 		return nil, err
 	}
-	var chip quantum.Executor
-	var err error
-	if cfg.Noise.Enabled() {
-		chip, err = quantum.NewNoisyChip(w.NQubits(), cfg.Seed, cfg.Noise)
-	} else {
-		chip, err = quantum.NewChip(w.NQubits(), cfg.Seed)
-	}
+	runner, err := vqa.NewRunner(w, cfg.Seed, cfg.Noise, cfg.Method)
 	if err != nil {
 		return nil, err
 	}
-	quantum.ForceMethodOn(chip, cfg.Method)
 	ct := w.Circuit.Count()
 	// Generate the actual quantum-dedicated program once to size the
 	// per-evaluation upload; the structure is parameter-independent.
@@ -155,7 +148,7 @@ func New(cfg Config, w *vqa.Workload) (*System, error) {
 	return &System{
 		cfg:      cfg,
 		workload: w,
-		chip:     chip,
+		runner:   runner,
 		shape: isa.WorkloadShape{
 			Gates:      ct.OneQubit + ct.TwoQubit,
 			TwoQubit:   ct.TwoQubit,
@@ -172,6 +165,7 @@ func New(cfg Config, w *vqa.Workload) (*System, error) {
 			messages:     reg.Counter("host.messages"),
 			instructions: reg.Counter("controller.instructions"),
 			shots:        reg.Counter("quantum.shots"),
+			replays:      reg.Counter("quantum.replays"),
 			shotTime:     reg.Timer("quantum.shot_time_ps"),
 			pulses:       reg.Counter("pulse.generated"),
 			methods:      methods,
@@ -223,19 +217,18 @@ func (s *System) Evaluate(params []float64) (float64, error) {
 	s.m.pulses.Add(int64(s.pulses))
 
 	// 4. Quantum execution.
-	bound := s.workload.Circuit.BindInto(s.boundScratch, params)
-	s.boundScratch = bound
-	ex, err := s.chip.Execute(bound, s.cfg.Shots)
+	ex, replayed, err := s.runner.Execute(params, s.cfg.Shots)
 	if err != nil {
 		return 0, err
 	}
 	b.Quantum += sim.Time(s.cfg.Shots) * (ex.ShotTime + s.cfg.ADI.RoundTrip())
 	s.m.shots.Add(int64(s.cfg.Shots))
 	s.m.shotTime.Observe(int64(ex.ShotTime))
-	if m, ok := quantum.MethodOf(s.chip); ok {
-		s.method = m
-		s.m.methods[m].Inc()
+	if replayed {
+		s.m.replays.Inc()
 	}
+	s.method = ex.Method
+	s.m.methods[ex.Method].Inc()
 
 	// 5. Results return over UDP.
 	resultBytes := (s.workload.NQubits() + 7) / 8

@@ -22,14 +22,18 @@ func Ablations(sc Scale) (string, error) {
 	var sb strings.Builder
 	sb.WriteString(header(fmt.Sprintf("Ablations, %d-qubit VQE, SPSA (Boom core)", nq)))
 
+	w, err := vqa.New(vqa.VQE, nq)
+	if err != nil {
+		return "", err
+	}
 	// SLT on/off.
-	withSLT, err := runQtenonCfg(system.DefaultConfig(host.BoomL()), vqa.VQE, nq, true, sc)
+	withSLT, err := runQtenonCfg(system.DefaultConfig(host.BoomL()), w, true, sc)
 	if err != nil {
 		return "", err
 	}
 	noSLTCfg := system.DefaultConfig(host.BoomL())
 	noSLTCfg.UseSLT = false
-	noSLT, err := runQtenonCfg(noSLTCfg, vqa.VQE, nq, true, sc)
+	noSLT, err := runQtenonCfg(noSLTCfg, w, true, sc)
 	if err != nil {
 		return "", err
 	}
@@ -46,7 +50,7 @@ func Ablations(sc Scale) (string, error) {
 	for _, pgus := range []int{1, 2, 4, 8, 16} {
 		cfg := system.DefaultConfig(host.BoomL())
 		cfg.PGUs = pgus
-		res, err := runQtenonCfg(cfg, vqa.VQE, nq, true, sc)
+		res, err := runQtenonCfg(cfg, w, true, sc)
 		if err != nil {
 			return "", err
 		}
@@ -95,7 +99,7 @@ func Ablations(sc Scale) (string, error) {
 
 	// NISQ-noise robustness: optimizer progress under realistic error
 	// rates (exact 10-qubit backend so noise is the only difference).
-	w, err := vqa.New(vqa.QAOA, 10)
+	w, err = vqa.New(vqa.QAOA, 10)
 	if err != nil {
 		return "", err
 	}

@@ -92,39 +92,37 @@ func algorithm(spsa bool) backend.Algorithm {
 	return backend.GD
 }
 
+// The run helpers take a workload built by vqa.New(w.Kind, w.NQubits())
+// (the run cache keys on those two). Every machine of a comparison runs
+// on one such workload, so its chip executions are simulated once and
+// replayed for the other machines (vqa.Runner): all of them use seed 1
+// and the scale's shot count.
+
 // runQtenon executes a full optimization on the Qtenon system.
-func runQtenon(kind vqa.Kind, nq int, core host.Core, spsa bool, sc Scale) (report.RunResult, error) {
-	return runQtenonCfg(system.DefaultConfig(core), kind, nq, spsa, sc)
+func runQtenon(w *vqa.Workload, core host.Core, spsa bool, sc Scale) (report.RunResult, error) {
+	return runQtenonCfg(system.DefaultConfig(core), w, spsa, sc)
 }
 
-func runQtenonCfg(cfg system.Config, kind vqa.Kind, nq int, spsa bool, sc Scale) (report.RunResult, error) {
+func runQtenonCfg(cfg system.Config, w *vqa.Workload, spsa bool, sc Scale) (report.RunResult, error) {
 	cfg.Shots = sc.Shots()
 	if sc.Method != route.Auto {
 		cfg.Method = sc.Method
 	}
 	o := sc.options()
-	return cache.do(qtenonKey(cfg, kind, nq, spsa, o), func() (report.RunResult, error) {
-		w, err := vqa.New(kind, nq)
-		if err != nil {
-			return report.RunResult{}, err
-		}
+	return cache.do(qtenonKey(cfg, w.Kind, w.NQubits(), spsa, o), func() (report.RunResult, error) {
 		return backend.Run(system.Factory{Cfg: cfg}, w, algorithm(spsa), o)
 	})
 }
 
 // runBaseline executes a full optimization on the decoupled baseline.
-func runBaseline(kind vqa.Kind, nq int, spsa bool, sc Scale) (report.RunResult, error) {
+func runBaseline(w *vqa.Workload, spsa bool, sc Scale) (report.RunResult, error) {
 	cfg := baseline.DefaultConfig()
 	cfg.Shots = sc.Shots()
 	if sc.Method != route.Auto {
 		cfg.Method = sc.Method
 	}
 	o := sc.options()
-	return cache.do(baselineKey(cfg, kind, nq, spsa, o), func() (report.RunResult, error) {
-		w, err := vqa.New(kind, nq)
-		if err != nil {
-			return report.RunResult{}, err
-		}
+	return cache.do(baselineKey(cfg, w.Kind, w.NQubits(), spsa, o), func() (report.RunResult, error) {
 		return backend.Run(baseline.Factory{Cfg: cfg}, w, algorithm(spsa), o)
 	})
 }

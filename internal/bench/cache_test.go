@@ -124,7 +124,11 @@ func TestMethodPinnedRunsDoNotShareCache(t *testing.T) {
 		{Quick: true},
 		{Quick: true, Method: route.Dense},
 	} {
-		res, err := runQtenon(vqa.VQE, 4, host.BoomL(), true, sc)
+		w, err := vqa.New(vqa.VQE, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := runQtenon(w, host.BoomL(), true, sc)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -19,7 +19,11 @@ func Figure1(sc Scale) (string, error) {
 	paperQ := map[vqa.Kind]string{vqa.QAOA: "7.9 (64q)", vqa.VQE: "7.0 (56q)", vqa.QNN: "6.3 (64q)"}
 	var vqeDetail string
 	for _, k := range vqa.Kinds() {
-		res, err := runBaseline(k, nq, true, sc) // SPSA, as in Figure 13(a)
+		w, err := vqa.New(k, nq)
+		if err != nil {
+			return "", err
+		}
+		res, err := runBaseline(w, true, sc) // SPSA, as in Figure 13(a)
 		if err != nil {
 			return "", err
 		}

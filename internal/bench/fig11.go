@@ -41,7 +41,9 @@ func Figure12(sc Scale) (string, error) {
 // SweepRows computes the Figure 11/12 data points. The (workload ×
 // qubit-count) grid points are independent full optimizations, so they
 // fan out across the worker pool; rows are assembled by grid index, so
-// the output order matches the serial sweep exactly.
+// the output order matches the serial sweep exactly. A point's three
+// machines share one workload, so the Rocket and Boom runs replay the
+// baseline's chip executions.
 func SweepRows(sc Scale, spsa bool) ([]SweepRow, error) {
 	cores := []host.Core{host.Rocket(), host.BoomL()}
 	type point struct {
@@ -57,12 +59,16 @@ func SweepRows(sc Scale, spsa bool) ([]SweepRow, error) {
 	perPoint := make([][]SweepRow, len(points))
 	err := forEachPoint(len(points), func(i int) error {
 		pt := points[i]
-		base, err := runBaseline(pt.k, pt.nq, spsa, sc)
+		w, err := vqa.New(pt.k, pt.nq)
+		if err != nil {
+			return err
+		}
+		base, err := runBaseline(w, spsa, sc)
 		if err != nil {
 			return err
 		}
 		for _, core := range cores {
-			qt, err := runQtenon(pt.k, pt.nq, core, spsa, sc)
+			qt, err := runQtenon(w, core, spsa, sc)
 			if err != nil {
 				return err
 			}

@@ -16,15 +16,19 @@ import (
 // Qtenon.
 func Figure13(sc Scale) (string, error) {
 	nq := sc.HeadlineQubits()
-	base, err := runBaseline(vqa.VQE, nq, true, sc)
+	w, err := vqa.New(vqa.VQE, nq)
 	if err != nil {
 		return "", err
 	}
-	hw, err := runQtenonCfg(system.HardwareOnlyConfig(host.BoomL()), vqa.VQE, nq, true, sc)
+	base, err := runBaseline(w, true, sc)
 	if err != nil {
 		return "", err
 	}
-	full, err := runQtenonCfg(system.DefaultConfig(host.BoomL()), vqa.VQE, nq, true, sc)
+	hw, err := runQtenonCfg(system.HardwareOnlyConfig(host.BoomL()), w, true, sc)
+	if err != nil {
+		return "", err
+	}
+	full, err := runQtenonCfg(system.DefaultConfig(host.BoomL()), w, true, sc)
 	if err != nil {
 		return "", err
 	}

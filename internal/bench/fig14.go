@@ -22,11 +22,15 @@ func Figure14(sc Scale) (string, error) {
 		tb := newTable("workload", "baseline comm", "Qtenon comm", "speedup",
 			"q_set %", "q_update %", "q_acquire %")
 		for _, k := range vqa.Kinds() {
-			base, err := runBaseline(k, nq, spsa, sc)
+			w, err := vqa.New(k, nq)
 			if err != nil {
 				return "", err
 			}
-			qt, err := runQtenon(k, nq, host.BoomL(), spsa, sc)
+			base, err := runBaseline(w, spsa, sc)
+			if err != nil {
+				return "", err
+			}
+			qt, err := runQtenon(w, host.BoomL(), spsa, sc)
 			if err != nil {
 				return "", err
 			}

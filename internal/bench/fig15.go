@@ -28,15 +28,17 @@ func Figure15(sc Scale) (string, error) {
 	cells := make([]cell, len(optimizers)*len(kinds))
 	err := forEachPoint(len(cells), func(i int) error {
 		spsa := optimizers[i/len(kinds)]
-		k := kinds[i%len(kinds)]
-		var err error
-		if cells[i].base, err = runBaseline(k, nq, spsa, sc); err != nil {
+		w, err := vqa.New(kinds[i%len(kinds)], nq)
+		if err != nil {
 			return err
 		}
-		if cells[i].boom, err = runQtenon(k, nq, host.BoomL(), spsa, sc); err != nil {
+		if cells[i].base, err = runBaseline(w, spsa, sc); err != nil {
 			return err
 		}
-		cells[i].rocket, err = runQtenon(k, nq, host.Rocket(), spsa, sc)
+		if cells[i].boom, err = runQtenon(w, host.BoomL(), spsa, sc); err != nil {
+			return err
+		}
+		cells[i].rocket, err = runQtenon(w, host.Rocket(), spsa, sc)
 		return err
 	})
 	if err != nil {

@@ -25,13 +25,17 @@ func Figure16(sc Scale) (string, error) {
 	for _, spsa := range []bool{false, true} {
 		tb := newTable("workload", "FENCE (RISC-V default)", "fine-grained", "speedup")
 		for _, k := range vqa.Kinds() {
-			fence := system.DefaultConfig(host.BoomL())
-			fence.Sync = sched.FENCE
-			fres, err := runQtenonCfg(fence, k, nq, spsa, sc)
+			w, err := vqa.New(k, nq)
 			if err != nil {
 				return "", err
 			}
-			fine, err := runQtenonCfg(system.DefaultConfig(host.BoomL()), k, nq, spsa, sc)
+			fence := system.DefaultConfig(host.BoomL())
+			fence.Sync = sched.FENCE
+			fres, err := runQtenonCfg(fence, w, spsa, sc)
+			if err != nil {
+				return "", err
+			}
+			fine, err := runQtenonCfg(system.DefaultConfig(host.BoomL()), w, spsa, sc)
 			if err != nil {
 				return "", err
 			}
@@ -48,13 +52,17 @@ func Figure16(sc Scale) (string, error) {
 	for _, spsa := range []bool{false, true} {
 		tb := newTable("workload", "w/o schedule", "w/ schedule", "speedup")
 		for _, k := range vqa.Kinds() {
-			unbatched := system.DefaultConfig(host.BoomL())
-			unbatched.Batching = false
-			ures, err := runQtenonCfg(unbatched, k, nq, spsa, sc)
+			w, err := vqa.New(k, nq)
 			if err != nil {
 				return "", err
 			}
-			bres, err := runQtenonCfg(system.DefaultConfig(host.BoomL()), k, nq, spsa, sc)
+			unbatched := system.DefaultConfig(host.BoomL())
+			unbatched.Batching = false
+			ures, err := runQtenonCfg(unbatched, w, spsa, sc)
+			if err != nil {
+				return "", err
+			}
+			bres, err := runQtenonCfg(system.DefaultConfig(host.BoomL()), w, spsa, sc)
 			if err != nil {
 				return "", err
 			}

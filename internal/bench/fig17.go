@@ -30,10 +30,11 @@ func runScaleGrid(sc Scale) ([]report.RunResult, error) {
 	kinds, qubits := scalePoints(sc)
 	results := make([]report.RunResult, len(kinds)*len(qubits))
 	err := forEachPoint(len(results), func(i int) error {
-		k := kinds[i/len(qubits)]
-		nq := qubits[i%len(qubits)]
-		var err error
-		results[i], err = runQtenon(k, nq, host.BoomL(), true, sc)
+		w, err := vqa.New(kinds[i/len(qubits)], qubits[i%len(qubits)])
+		if err != nil {
+			return err
+		}
+		results[i], err = runQtenon(w, host.BoomL(), true, sc)
 		return err
 	})
 	if err != nil {

@@ -38,16 +38,19 @@ func TestShapeFigure13Ordering(t *testing.T) {
 	// baseline > hw-only ≥ full Qtenon on total time; quantum dominance
 	// flips from baseline (minor) to Qtenon (major).
 	sc := QuickScale
-	nq := sc.HeadlineQubits()
-	base, err := runBaseline(vqa.VQE, nq, true, sc)
+	w, err := vqa.New(vqa.VQE, sc.HeadlineQubits())
 	if err != nil {
 		t.Fatal(err)
 	}
-	hw, err := runQtenonCfg(system.HardwareOnlyConfig(host.BoomL()), vqa.VQE, nq, true, sc)
+	base, err := runBaseline(w, true, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := runQtenonCfg(system.DefaultConfig(host.BoomL()), vqa.VQE, nq, true, sc)
+	hw, err := runQtenonCfg(system.HardwareOnlyConfig(host.BoomL()), w, true, sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := runQtenonCfg(system.DefaultConfig(host.BoomL()), w, true, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,13 +71,16 @@ func TestShapeTable5Reductions(t *testing.T) {
 	// GD (single-parameter updates) reduces it more than SPSA (all
 	// parameters update).
 	sc := QuickScale
-	nq := sc.HeadlineQubits()
+	w, err := vqa.New(vqa.VQE, sc.HeadlineQubits())
+	if err != nil {
+		t.Fatal(err)
+	}
 	reduction := func(spsa bool) float64 {
-		base, err := runBaseline(vqa.VQE, nq, spsa, sc)
+		base, err := runBaseline(w, spsa, sc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		qt, err := runQtenon(vqa.VQE, nq, host.BoomL(), spsa, sc)
+		qt, err := runQtenon(w, host.BoomL(), spsa, sc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -90,7 +96,11 @@ func TestShapeTable5Reductions(t *testing.T) {
 }
 
 func TestShapeCommDominatedByAcquireUnderGD(t *testing.T) {
-	res, err := runQtenon(vqa.VQE, QuickScale.HeadlineQubits(), host.BoomL(), false, QuickScale)
+	w, err := vqa.New(vqa.VQE, QuickScale.HeadlineQubits())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := runQtenon(w, host.BoomL(), false, QuickScale)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,11 +21,15 @@ func Table5(sc Scale) (string, error) {
 		tb := newTable("workload", "baseline pulses", "Qtenon pulses", "reduction %",
 			"SLT hit %", "baseline time", "Qtenon time", "speedup")
 		for _, k := range vqa.Kinds() {
-			base, err := runBaseline(k, nq, spsa, sc)
+			w, err := vqa.New(k, nq)
 			if err != nil {
 				return "", err
 			}
-			qt, err := runQtenon(k, nq, host.BoomL(), spsa, sc)
+			base, err := runBaseline(w, spsa, sc)
+			if err != nil {
+				return "", err
+			}
+			qt, err := runQtenon(w, host.BoomL(), spsa, sc)
 			if err != nil {
 				return "", err
 			}

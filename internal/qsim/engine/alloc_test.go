@@ -100,11 +100,10 @@ func TestSteadyStateAllocations(t *testing.T) {
 	}{
 		// Dense Run: the closures of the fused sweep's par loops.
 		{"dense/Run", run(dense), 6},
-		// Dense Apply: per one-qubit gate, the kernel closure plus the
-		// 2×2 matrix, which escapes because the complex kernel takes it
-		// by pointer (2 each); per two-qubit gate one closure; none for
-		// I and Measure.
-		{"dense/Apply", applyAll(dense), 63},
+		// Dense Apply: one kernel closure per one- and two-qubit gate
+		// (the 2×2 matrix is passed by value and stays on the stack);
+		// none for I and Measure.
+		{"dense/Apply", applyAll(dense), 36},
 		// Dense ZExpectation, ExpectationZZ, Norm: one par.SumFloat64
 		// closure each.
 		{"dense/ZExpectation", func() { sink += dense.ZExpectation(3) }, 1},

@@ -448,11 +448,11 @@ func (s *State) applyTiled(ops []fusedOp) {
 					stride := 1 << op.q
 					// base is 2·stride-aligned, so the tile's pairs are
 					// exactly pair indices [base/2, end/2).
-					if matIsReal(&op.u) {
+					if matIsReal(op.u) {
 						r := [4]float64{real(op.u[0]), real(op.u[1]), real(op.u[2]), real(op.u[3])}
 						apply1QRealPairs(re, im, stride, r, base>>1, end>>1)
 					} else {
-						apply1QCmplxPairs(re, im, stride, &op.u, base>>1, end>>1)
+						apply1QCmplxPairs(re, im, stride, op.u, base>>1, end>>1)
 					}
 				case opCX:
 					applyCXRange(re, im, 1<<op.q, 1<<op.q2, base, end)

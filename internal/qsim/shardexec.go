@@ -89,12 +89,12 @@ func (p *FusedProgram) OpInfo(i int) (kind OpKind, q, q2 int) {
 func (p *FusedProgram) Apply1QChunk(i int, re, im []float64) {
 	op := &p.ops[i]
 	stride := 1 << op.q
-	if matIsReal(&op.u) {
+	if matIsReal(op.u) {
 		r := [4]float64{real(op.u[0]), real(op.u[1]), real(op.u[2]), real(op.u[3])}
 		apply1QRealPairs(re, im, stride, r, 0, len(re)>>1)
 		return
 	}
-	apply1QCmplxPairs(re, im, stride, &op.u, 0, len(re)>>1)
+	apply1QCmplxPairs(re, im, stride, op.u, 0, len(re)>>1)
 }
 
 // Apply1QPairChunks applies op i (Op1Q on a qubit whose stride is the
@@ -109,7 +109,7 @@ func (p *FusedProgram) Apply1QPairChunks(i int, re0, im0, re1, im1 []float64) {
 	m0 := im0[:n]
 	r1 := re1[:n]
 	m1 := im1[:n]
-	if matIsReal(&op.u) {
+	if matIsReal(op.u) {
 		u00, u01 := real(op.u[0]), real(op.u[1])
 		u10, u11 := real(op.u[2]), real(op.u[3])
 		for x := 0; x < n; x++ {

@@ -206,7 +206,7 @@ func (s *State) Fidelity(o *State) float64 {
 // whose imaginary parts are bit-for-bit zero qualify (RY/H/X products and
 // friends). The exact ==0 test is intentional — a tolerance would change
 // numerics by routing nearly-real matrices through the real kernel.
-func matIsReal(u *[4]complex128) bool {
+func matIsReal(u [4]complex128) bool {
 	//lint:ignore floatcompare exact zero check selects a kernel; a tolerance would change numerics (DESIGN.md §11.2)
 	return imag(u[0]) == 0 && imag(u[1]) == 0 && imag(u[2]) == 0 && imag(u[3]) == 0
 }
@@ -223,7 +223,7 @@ func (s *State) apply1Q(q int, u00, u01, u10, u11 complex128) {
 	re, im := s.re, s.im
 	stride := 1 << q
 	u := [4]complex128{u00, u01, u10, u11}
-	if matIsReal(&u) {
+	if matIsReal(u) {
 		r := [4]float64{real(u00), real(u01), real(u10), real(u11)}
 		par.For(len(re)>>1, func(lo, hi int) {
 			apply1QRealPairs(re, im, stride, r, lo, hi)
@@ -231,7 +231,7 @@ func (s *State) apply1Q(q int, u00, u01, u10, u11 complex128) {
 		return
 	}
 	par.For(len(re)>>1, func(lo, hi int) {
-		apply1QCmplxPairs(re, im, stride, &u, lo, hi)
+		apply1QCmplxPairs(re, im, stride, u, lo, hi)
 	})
 }
 
@@ -284,7 +284,7 @@ func apply1QRealPairs(re, im []float64, stride int, u [4]float64, lo, hi int) {
 // apply1QCmplxPairs is the general complex kernel over the pair-index
 // range [lo, hi), written as explicit float arithmetic in exactly the
 // association order complex128 multiplication uses.
-func apply1QCmplxPairs(re, im []float64, stride int, u *[4]complex128, lo, hi int) {
+func apply1QCmplxPairs(re, im []float64, stride int, u [4]complex128, lo, hi int) {
 	u00r, u00i := real(u[0]), imag(u[0])
 	u01r, u01i := real(u[1]), imag(u[1])
 	u10r, u10i := real(u[2]), imag(u[2])

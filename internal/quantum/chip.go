@@ -46,8 +46,9 @@ type Executor interface {
 
 // Execution reports one q_run-style batch.
 type Execution struct {
-	Outcomes []uint64 // one basis-state index per shot (qubit 0 = bit 0)
-	ShotTime sim.Time // critical-path duration of one shot
+	Outcomes []uint64     // one basis-state index per shot (qubit 0 = bit 0)
+	ShotTime sim.Time     // critical-path duration of one shot
+	Method   route.Method // simulation method the router resolved
 }
 
 // TotalTime is shots × per-shot duration.
@@ -127,32 +128,7 @@ func (c *Chip) Execute(ct *circuit.Circuit, shots int) (Execution, error) {
 	}
 	c.method = m
 	outcomes := sim.Sample(shots, c.rng)
-	return Execution{Outcomes: outcomes, ShotTime: shot}, nil
-}
-
-// methodReporter is any executor that reports its routed method.
-type methodReporter interface{ Method() route.Method }
-
-// methodForcer is any executor whose router accepts a pinned method.
-type methodForcer interface{ ForceMethod(route.Method) }
-
-// MethodOf reports the last method an executor routed to, when the
-// executor exposes one (Chip and NoisyChip do; ok is false otherwise).
-func MethodOf(e Executor) (route.Method, bool) {
-	if r, ok := e.(methodReporter); ok {
-		return r.Method(), true
-	}
-	return route.Auto, false
-}
-
-// ForceMethodOn pins the executor's method when it supports forcing;
-// it reports whether the executor did.
-func ForceMethodOn(e Executor, m route.Method) bool {
-	if f, ok := e.(methodForcer); ok {
-		f.ForceMethod(m)
-		return true
-	}
-	return false
+	return Execution{Outcomes: outcomes, ShotTime: shot, Method: m}, nil
 }
 
 // ADI is the analog-digital interface between controller and chip: fixed

@@ -114,7 +114,7 @@ type System struct {
 	cache    *qcc.Cache
 	bank     *slt.Bank
 	pipe     *pipeline.Pipeline
-	chip     quantum.Executor
+	runner   *vqa.Runner
 	bus      *tilelink.Bus
 	rbq      *tilelink.RBQ
 	barrier  *tilelink.Barrier
@@ -150,13 +150,11 @@ type System struct {
 	hostResultBase uint64
 
 	// Per-evaluation scratch, recycled across Evaluate calls so the
-	// steady-state hot path stops allocating: the q_update delta plan,
-	// the bus-transfer write payload and retired-data storage, and the
-	// bound-circuit shadow handed to the chip.
+	// steady-state hot path stops allocating: the q_update delta plan and
+	// the bus-transfer write payload and retired-data storage.
 	deltaScratch []compiler.Delta
 	beatScratch  []uint64
 	dataScratch  []uint64
-	boundScratch *circuit.Circuit
 
 	// reg is this instance's private metrics registry; m holds the
 	// handles the system itself updates (components below the system —
@@ -176,7 +174,10 @@ type sysInstruments struct {
 	hostPrep, evalTail                  *metrics.Timer
 	evaluations                         *metrics.Counter
 	shots                               *metrics.Counter
-	shotTime                            *metrics.Timer
+	// replays counts evaluations whose chip execution was served from
+	// the workload's memo (vqa.Runner) instead of simulated.
+	replays  *metrics.Counter
+	shotTime *metrics.Timer
 	// methods counts evaluations per routed simulation method, indexed
 	// by route.Method ("quantum.method.dense" etc.; Auto is never
 	// resolved, so it has no counter).
@@ -194,6 +195,7 @@ func resolveSysInstruments(reg *metrics.Registry) sysInstruments {
 		evalTail:    reg.Timer("eval.tail_ps"),
 		evaluations: reg.Counter("system.evaluations"),
 		shots:       reg.Counter("quantum.shots"),
+		replays:     reg.Counter("quantum.replays"),
 		shotTime:    reg.Timer("quantum.shot_time_ps"),
 	}
 	for m := route.Auto + 1; m < route.NumMethods; m++ {
@@ -237,16 +239,10 @@ func New(cfg Config, w *vqa.Workload) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	var chip quantum.Executor
-	if cfg.Noise.Enabled() {
-		chip, err = quantum.NewNoisyChip(nq, cfg.Seed, cfg.Noise)
-	} else {
-		chip, err = quantum.NewChip(nq, cfg.Seed)
-	}
+	runner, err := vqa.NewRunner(w, cfg.Seed, cfg.Noise, cfg.Method)
 	if err != nil {
 		return nil, err
 	}
-	quantum.ForceMethodOn(chip, cfg.Method)
 	busCfg := cfg.Bus
 	busCfg.Seed = cfg.Seed
 	bus, err := tilelink.NewBus(busCfg)
@@ -264,7 +260,7 @@ func New(cfg Config, w *vqa.Workload) (*System, error) {
 		cache:          cache,
 		bank:           bank,
 		pipe:           pipe,
-		chip:           chip,
+		runner:         runner,
 		bus:            bus,
 		rbq:            tilelink.NewRBQ(busCfg.Tags, 8, 1<<20),
 		barrier:        tilelink.NewBarrier(),
@@ -418,12 +414,8 @@ func (s *System) Evaluate(params []float64) (float64, error) {
 	s.pulsesGen += int64(pipeRes.Generated)
 	pulsePrep := s.controller.Cycles(pipeRes.Cycles)
 
-	// q_run: execute shots; q_acquire: stream results. The bound shadow
-	// circuit is scratch: Execute consumes it synchronously and never
-	// retains it.
-	bound := s.workload.Circuit.BindInto(s.boundScratch, params)
-	s.boundScratch = bound
-	ex, err := s.chip.Execute(bound, s.cfg.Shots)
+	// q_run: execute shots; q_acquire: stream results.
+	ex, replayed, err := s.runner.Execute(params, s.cfg.Shots)
 	if err != nil {
 		return 0, err
 	}
@@ -432,10 +424,11 @@ func (s *System) Evaluate(params []float64) (float64, error) {
 	s.m.qAcquire.Inc()
 	s.m.shots.Add(int64(s.cfg.Shots))
 	s.m.shotTime.Observe(int64(ex.ShotTime))
-	if m, ok := quantum.MethodOf(s.chip); ok {
-		s.method = m
-		s.m.methods[m].Inc()
+	if replayed {
+		s.m.replays.Inc()
 	}
+	s.method = ex.Method
+	s.m.methods[ex.Method].Inc()
 
 	k := 1
 	if s.cfg.Batching {
@@ -503,19 +496,29 @@ func (s *System) Evaluate(params []float64) (float64, error) {
 	})
 	s.engine.At(t0+hostPrep+commPrep, func() { s.tracer.Add("pipeline", "q_gen", t0+hostPrep+commPrep, qStart) })
 	s.engine.At(qStart, func() { s.tracer.Add("quantum", "q_run", qStart, qEnd) })
+	// The tail opens with result traffic still in flight after the last
+	// shot, the q_acquire share of exposed communication (whatever was
+	// not prep traffic, q_set/q_update); host post-processing and the
+	// parameter update fill the rest.
+	acquire := tl.ExposedComm - commPrep
 	end := t0 + tl.Total
 	if tail > 0 {
-		s.engine.At(qEnd, func() { s.tracer.Add("host", "post+update", qEnd, qEnd+tail) })
+		s.engine.At(qEnd, func() {
+			if acquire > 0 {
+				s.tracer.Add("rocc/bus", "q_acquire", qEnd, qEnd+acquire)
+			}
+			if tail > acquire {
+				s.tracer.Add("host", "post+update", qEnd+acquire, qEnd+tail)
+			}
+		})
 	}
 	if end < qEnd {
 		end = qEnd
 	}
 	s.engine.At(end, func() {}) // end-of-evaluation marker
 	s.now = s.engine.Run()
-	// The q_acquire share of exposed communication is whatever was not
-	// prep traffic (q_set/q_update).
-	if tail := tl.ExposedComm - commPrep; tail > 0 {
-		s.comm.QAcquire += tail
+	if acquire > 0 {
+		s.comm.QAcquire += acquire
 	}
 
 	return s.workload.Cost(ex.Outcomes), nil

@@ -64,6 +64,12 @@ type Workload struct {
 	InitialParams []float64
 	// Edges is the MaxCut graph (QAOA only).
 	Edges [][2]int
+
+	// memo records the ideal chip executions machines ran on this
+	// workload, so later machines replay them instead of simulating
+	// (Runner). The constructors and Routed give each workload its own;
+	// a struct-literal Workload has none and never shares.
+	memo *memo
 }
 
 // NumParams reports the ansatz parameter count.
@@ -78,7 +84,8 @@ func (w *Workload) NQubits() int { return w.Circuit.NQubits }
 // back to logical qubit order before scoring. Every machine that runs
 // the routed workload therefore executes the same circuit and scores the
 // same objective. The Hamiltonians and Edges keep describing the logical
-// problem.
+// problem. The routed workload starts with an empty execution memo of
+// its own.
 func Routed(w *Workload, cm *mapper.Coupling) (*Workload, error) {
 	r, err := mapper.Route(w.Circuit, cm)
 	if err != nil {
@@ -86,6 +93,7 @@ func Routed(w *Workload, cm *mapper.Coupling) (*Workload, error) {
 	}
 	out := *w
 	out.Circuit = r.Circuit
+	out.memo = &memo{}
 	cost, layout := w.Cost, r.Layout
 	out.Cost = func(outcomes []uint64) float64 {
 		return cost(mapper.RemapOutcomes(outcomes, layout))
@@ -182,6 +190,7 @@ func NewQAOA(nqubits, layers int) (*Workload, error) {
 		Hamiltonian:   ham,
 		InitialParams: init,
 		Edges:         edges,
+		memo:          &memo{},
 	}, nil
 }
 
@@ -239,6 +248,7 @@ func NewVQE(nqubits, layers int) (*Workload, error) {
 		Hamiltonian:     diag,
 		FullHamiltonian: full,
 		InitialParams:   init,
+		memo:            &memo{},
 	}, nil
 }
 
@@ -297,6 +307,7 @@ func NewQNN(nqubits, layers int) (*Workload, error) {
 			return (z - target) * (z - target)
 		},
 		InitialParams: init,
+		memo:          &memo{},
 	}, nil
 }
 
@@ -351,6 +362,7 @@ func NewStabilizer(nqubits int) (*Workload, error) {
 		Hamiltonian:   ham,
 		InitialParams: []float64{},
 		Edges:         edges,
+		memo:          &memo{},
 	}, nil
 }
 
